@@ -57,8 +57,9 @@ print("== a witness you can check ==")
 rec = recognize_S2_symbol(parse_symbol("(O,o,0 | -1, (3,1), (4,1))"))
 w = rec.witness
 print(f"{rec.name()} via sewing ({w.q} {w.r}; {w.p} {w.s}), det {w.det}")
-# |p| row entry matches the order of H1, and the q entry is the lens q
-# up to the usual orbit
+# the witness completes the left column (q, p) to determinant 1: p is the
+# order of H1, q is the sewing q reduced mod p, and L(19,15) = L(19,4)
+# because 15 = -4 mod 19
 
 print()
 print("== platonic triples ==")

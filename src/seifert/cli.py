@@ -2,8 +2,9 @@
 
 Exit codes: 0 success or positive answer, 1 well-formed negative answer
 (distinct symbols, undetermined order), 2 malformed input, 3 precondition
-failures (operation not defined for this symbol). The enumeration budget
-is 100000 cosets unless SEIFERT_MAX_COSETS or --max-cosets says otherwise.
+failures (operation not defined for this symbol). Only `group order`
+enumerates cosets; its budget is 100000 cosets unless SEIFERT_MAX_COSETS
+or --max-cosets says otherwise.
 """
 
 from __future__ import annotations
@@ -35,13 +36,6 @@ _PREDICATE_KEYS = ("small", "flat", "pi1_finite", "irreducible",
                    "has_incompressible_surface", "named", "notes")
 
 
-def _budget(args) -> int:
-    flag = getattr(args, "max_cosets", None)
-    if flag is not None:
-        return flag
-    return int(os.environ.get("SEIFERT_MAX_COSETS", "100000"))
-
-
 def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
@@ -54,10 +48,14 @@ def _class_label(s: SeifertSymbol) -> str:
 
 
 def build_report(text: str, max_cosets: int = 100000) -> dict:
-    """Assemble the full report dict, keys in schema order."""
+    """Assemble the full report dict, keys in schema order.
+
+    max_cosets is unused: no part of a report enumerates cosets. It is
+    kept so that existing positional callers keep working.
+    """
     s = parse_symbol(text)
     ns = normalize_symbol(s)
-    pred = predicates(ns, max_cosets)
+    pred = predicates(ns)
     try:
         es = _frac(euler_sum(ns).value)
     except NotClosedOriented:
@@ -119,7 +117,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--stdin", action="store_true",
                    help="read one symbol per line, emit JSON lines")
-    p.add_argument("--max-cosets", type=int, default=None)
 
     p = sub.add_parser("equiv", help="compare two symbols")
     p.add_argument("symbol1")
@@ -184,14 +181,13 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "report":
-        budget = _budget(args)
         if args.stdin:
             for line in sys.stdin:
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    rep = build_report(line, budget)
+                    rep = build_report(line)
                 except InputError as exc:
                     rep = {"input": line, "error": str(exc)}
                 print(json.dumps(rep))
@@ -199,7 +195,7 @@ def _dispatch(args) -> int:
         if args.symbol is None:
             print("error: report needs a symbol or --stdin", file=sys.stderr)
             return 2
-        rep = build_report(args.symbol, budget)
+        rep = build_report(args.symbol)
         if args.json:
             print(json.dumps(rep, indent=2))
         else:
@@ -257,7 +253,9 @@ def _dispatch(args) -> int:
         if kind == "h1":
             print(abelianization(pi1_presentation(s)).describe())
             return 0
-        budget = _budget(args)
+        budget = args.max_cosets
+        if budget is None:
+            budget = int(os.environ.get("SEIFERT_MAX_COSETS", "100000"))
         result = coset_enumerate(pi1_presentation(s), budget)
         if result.is_finite:
             print(result.order)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import (AlreadyOrientable, IndexNotDivisible, NotClosed,
-                     NotClosedOriented, OddEulerCharacteristic, QuotientFinite,
-                     ValidityError)
+from .errors import (AlreadyOrientable, IndexNotDivisible, InternalError,
+                     NotClosed, NotClosedOriented, OddEulerCharacteristic,
+                     QuotientFinite, ValidityError)
 from .groups import SizeClass, fuchsian_size_class, signature_of_symbol
 from .symbol import ClassPart, CrossingPair, SeifertSymbol, normalize_symbol
 
@@ -117,10 +117,11 @@ def fiberless_cover(s: SeifertSymbol, sheets: int) -> FiberlessCover:
             raise IndexNotDivisible(
                 f"fiber index {p.mu} does not divide sheet count {sheets}")
     b = sheets * euler_sum(s).value
-    assert b.denominator == 1
     deficiency = sum(Fraction(p.mu - 1, p.mu) for p in s.pairs)
     chi = sheets * (Fraction(s.orbit_chi()) - deficiency)
-    assert chi.denominator == 1
+    if b.denominator != 1 or chi.denominator != 1:
+        raise InternalError(f"cover obstruction {b} or orbit chi {chi} "
+                            f"not integral at {sheets} sheets")
     b = int(b)
     chi = int(chi)
     if s.class_part.orbit == "o":

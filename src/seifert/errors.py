@@ -3,11 +3,17 @@
 Two families matter for the CLI exit codes: InputError covers malformed or
 invalid input (exit code 2) and PreconditionError covers well-formed input
 fed to an operation whose mathematical precondition it violates (exit 3).
+InternalError marks a broken mathematical invariant, a defect of this
+package rather than of its input.
 """
 
 
 class SeifertError(Exception):
     """Base class for every error raised by this package."""
+
+
+class InternalError(SeifertError):
+    """A mathematical invariant the package relies on does not hold."""
 
 
 class InputError(SeifertError):

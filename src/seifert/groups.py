@@ -15,7 +15,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .arith import IntMatrix, smith_normal_form
-from .errors import InvalidIndex, InvalidSurface, LimitTooSmall, ValidityError
+from .errors import (InternalError, InvalidIndex, InvalidSurface, LimitTooSmall,
+                     ValidityError)
 from .symbol import SeifertSymbol, normalize_symbol
 
 
@@ -429,7 +430,8 @@ def triangle_info(p: int, q: int, r: int) -> TriangleInfo:
     total = Fraction(1, p) + Fraction(1, q) + Fraction(1, r)
     if total > 1:
         order = Fraction(2) / (total - 1)
-        assert order.denominator == 1
+        if order.denominator != 1:
+            raise InternalError(f"spherical triangle group order {order}")
         return TriangleInfo(indices, "spherical", True, int(order))
     if total == 1:
         return TriangleInfo(indices, "euclidean", False, None)
@@ -528,6 +530,7 @@ def fuchsian_size_class(sig: FuchsianSignature) -> SizeClass:
         return SizeClass.FINITE
     if chi == 0:
         key = (sig.orientable, sig.s, sig.m, tuple(sorted(sig.degrees)))
-        assert key in _ZERO_CHI_TABLE, f"unexpected zero-chi signature {key}"
+        if key not in _ZERO_CHI_TABLE:
+            raise InternalError(f"unexpected zero-chi signature {key}")
         return SizeClass.ZERO_CHI
     return SizeClass.NEGATIVE_CHI

@@ -4,8 +4,10 @@ L(p,q) is two solid tori sewn along their boundaries by a determinant
 +-1 matrix whose left column is (q, p). Homeomorphism classification is
 p' = p with q' = +-q^{+-1} mod p, so each pair has a canonical
 representative. The sewing matrix also transports a fibering of one
-torus to the other, which is how symbols over the sphere with at most
-two exceptional fibers are recognized here.
+torus to the other. A symbol over the sphere with at most two
+exceptional fibers is such a sewing, and its (p, q) has a closed form
+(Orlik, Seifert Manifolds, LNM 291, 1972; Jankins-Neumann, Lectures on
+Seifert Manifolds, 1983).
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import ReducedFraction
-from .errors import BadDeterminant, NotCoprime, ValidityError, WrongBase, ZeroDenominator
-from .fst import FiberedSolidTorus, crossing_invariants, fst_normalize
-from .groups import abelianization, pi1_presentation
-from .symbol import ClassPart, CrossingPair, SeifertSymbol, normalize_symbol
+from .errors import BadDeterminant, NotCoprime, ValidityError, WrongBase
+from .fst import fst_normalize
+from .symbol import ClassPart, SeifertSymbol, normalize_symbol
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,9 @@ class Recognition:
     """Outcome of recognizing a closed symbol over the sphere.
 
     kind is one of S3, S2xS1, Lens, Platonic, Generic. Lens outcomes
-    carry canonical parameters and the witnessing sewing matrix found by
-    the bounded search (S3 and S2xS1 carry one too, as L(1,0) and
-    L(0,0)). Platonic carries the sorted index triple.
+    carry canonical parameters and a witnessing sewing matrix with left
+    column (q, p) (S3 and S2xS1 carry them too, as L(1,0) and L(0,0)).
+    Platonic carries the sorted index triple.
     """
 
     kind: str
@@ -152,113 +153,30 @@ def sphere_h1_order(b, pairs) -> int:
     return abs(total - b * prod)
 
 
-def _candidate_bs(pairs, p):
-    """Obstructions b with |H1| = p for the given pairs, ascending."""
-    total = 0
-    prod = 1
-    for q in pairs:
-        prod *= q.mu
-    for i, q in enumerate(pairs):
-        term = q.beta
-        for j, w in enumerate(pairs):
-            if j != i:
-                term *= w.mu
-        total += term
-    out = set()
-    for t in (total - p, total + p):
-        if t % prod == 0:
-            out.add(t // prod)
-    return sorted(out)
+def _sewing_q(b, first, second) -> int:
+    """Lens q of the two solid tori around two (mu, beta) fibers.
 
-
-def _search_witness(s: SeifertSymbol, p: int):
-    """Deterministic bounded search for a sewing matrix producing s.
-
-    Scans matrices with left column (q, +-p), q ascending, and for each
-    solvable right column checks whether the transform of some fibering
-    drawn from the symbol's own pairs reproduces the full symbol. All
-    entries stay within p + mu1*mu2 + |b|*mu1*mu2. Returns
-    (q, GluingMatrix) or None.
+    With alpha2 u - beta2 v = 1 it is q = alpha1 u + (beta1 - b alpha1) v;
+    another solution (u, v) moves q by a multiple of the homology order,
+    so q is well defined modulo p. A (1, 0) pair stands for no fiber.
     """
-    pairs = s.pairs
-    b = s.obstruction
-    mu1 = pairs[0].mu if len(pairs) >= 1 else 1
-    mu2 = pairs[1].mu if len(pairs) >= 2 else 1
-    bound = p + mu1 * mu2 + abs(b) * mu1 * mu2
-
-    # ways to assign one pair to the input fibering and one to the image
-    zero = ReducedFraction(0, 1)
-    assignments = []
-    if len(pairs) == 2:
-        f0 = ReducedFraction(pow(pairs[0].beta, -1, pairs[0].mu), pairs[0].mu)
-        f1 = ReducedFraction(pow(pairs[1].beta, -1, pairs[1].mu), pairs[1].mu)
-        assignments = [(f0, pairs[1].mu), (f1, pairs[0].mu)]
-    elif len(pairs) == 1:
-        f0 = ReducedFraction(pow(pairs[0].beta, -1, pairs[0].mu), pairs[0].mu)
-        assignments = [(f0, 1), (zero, pairs[0].mu)]
-    else:
-        assignments = [(zero, 1)]
-
-    if p == 0:
-        qs = [1]
-    elif p == 1:
-        qs = [0, 1]
-    else:
-        qs = [q for q in range(p) if gcd(q, p) == 1]
-    pps = [0] if p == 0 else [p, -p]
-
-    for q in qs:
-        for pp in pps:
-            for det in (1, -1):
-                for f, mu_img in assignments:
-                    nu, mu = f.num, f.den
-                    for tgt in (mu_img, -mu_img):
-                        # second index: pp*nu + s*mu = tgt
-                        if pp == 0:
-                            # q = 1, so s = det and r is irrelevant mod mu
-                            sv = det
-                            if pp * nu + sv * mu != tgt:
-                                continue
-                            rv = 0
-                        else:
-                            num = tgt - pp * nu
-                            if num % mu != 0:
-                                continue
-                            sv = num // mu
-                            rnum = q * sv - det
-                            if rnum % pp != 0:
-                                continue
-                            rv = rnum // pp
-                        if abs(rv) > bound or abs(sv) > bound:
-                            continue
-                        mat = GluingMatrix(q, rv, pp, sv)
-                        try:
-                            t1, t2 = fibering_transform(mat, f)
-                        except ZeroDenominator:
-                            continue
-                        cand = []
-                        for t in (t1, t2):
-                            ci = crossing_invariants(t)
-                            if ci.mu >= 2:
-                                cand.append(ci)
-                        for bc in _candidate_bs(cand, p):
-                            trial = normalize_symbol(SeifertSymbol(
-                                _S2, 0, 0, bc,
-                                tuple(CrossingPair(c.mu, c.beta) for c in cand)))
-                            if trial == s:
-                                return q, mat
-    return None
+    (a1, b1), (a2, b2) = first, second
+    v = -pow(b2, -1, a2)
+    u = (1 + b2 * v) // a2
+    return a1 * u + (b1 - b * a1) * v
 
 
 def recognize_S2_symbol(s: SeifertSymbol) -> Recognition:
     """Recognize a closed symbol over the sphere.
 
-    At most two exceptional fibers means a lens space: p is the order of
-    the abelianized group (0 meaning infinite, hence S2xS1; 1 meaning
-    S3), and q comes from the bounded sewing-matrix search, reported
-    with its witness. Three fibers with a platonic index triple give
-    Platonic; anything else is Generic. Raises WrongBase away from the
-    closed sphere orbit.
+    At most two exceptional fibers means a lens space L(p, q), read off
+    the sewing of the two solid tori around the fibers (padded with
+    (1, 0) where a fiber is missing): p is the order of the first
+    homology (0 meaning infinite, hence S2xS1; 1 meaning S3) and q is
+    the sewing q reduced mod p. The witness is the determinant +1
+    completion of the left column (q, p). Three fibers with a platonic
+    index triple give Platonic; anything else is Generic. Raises
+    WrongBase away from the closed sphere orbit.
     """
     s = normalize_symbol(s)
     if s.class_part != _S2 or not s.is_closed:
@@ -269,12 +187,17 @@ def recognize_S2_symbol(s: SeifertSymbol) -> Recognition:
         if len(pairs) == 3 and is_platonic_triple(triple):
             return Recognition("Platonic", triple=triple)
         return Recognition("Generic")
-    p = abelianization(pi1_presentation(s)).order()
-    hit = _search_witness(s, p)
-    if hit is None:
-        raise RuntimeError(
-            f"sewing-matrix search exhausted without witness for {s}")
-    q, mat = hit
+    padded = [(c.mu, c.beta) for c in pairs] + [(1, 0)] * (2 - len(pairs))
+    q = _sewing_q(s.obstruction, *padded)
+    p = sphere_h1_order(s.obstruction, pairs)
+    if p == 0:
+        # b = 0 without fibers, or b = 1 with beta1/mu1 + beta2/mu2 = 1:
+        # q = 1 in both cases
+        mat = GluingMatrix(q, 0, 0, q)
+    else:
+        q %= p
+        inv = pow(q, -1, p)
+        mat = GluingMatrix(q, (q * inv - 1) // p, p, inv)
     params = lens_normalize(p, q)
     if p == 0:
         return Recognition("S2xS1", lens=params, witness=mat)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ExcludedSpace, ValidityError
-from .groups import abelianization, coset_enumerate, pi1_presentation
+from .groups import abelianization, pi1_presentation
 from .lens import lens_normalize, recognize_S2_symbol, sphere_h1_order
 from .symbol import (ClassPart, EquivalenceMode, SeifertSymbol, normalize_symbol,
                      parse_symbol, render_symbol, symbols_equivalent)
@@ -39,7 +39,7 @@ def _is_solid_torus_schema(s: SeifertSymbol) -> bool:
             and s.boundary_klein == 0 and len(s.pairs) <= 1)
 
 
-def classify_small(s: SeifertSymbol, max_cosets: int = 100000):
+def classify_small(s: SeifertSymbol):
     """Name the space when the Fuchsian quotient is finite, else None.
 
     Bounded: only the fibered solid torus (disk orbit, at most one
@@ -49,7 +49,9 @@ def classify_small(s: SeifertSymbol, max_cosets: int = 100000):
     total spaces are P2xS1 or the twisted S2 bundle over S1 (first
     homology Z+Z/2 versus Z); orientable ones are P3#P3 at zero
     obstruction and otherwise a lens space L(4n,2n-1) or a platonic
-    prism space, told apart by enumerating the group.
+    prism space. The group order is the prism closed form 4 mu |b mu -
+    beta| (4 |b| without a fiber); the space is the lens space exactly
+    when the first homology is cyclic of that order.
     """
     s = normalize_symbol(s)
     cp = s.class_part
@@ -74,17 +76,13 @@ def classify_small(s: SeifertSymbol, max_cosets: int = 100000):
     if cp == _P2_O and len(s.pairs) <= 1:
         if s.obstruction == 0 and not s.pairs:
             return SmallResult("P3#P3", "P3#P3")
-        res = coset_enumerate(pi1_presentation(s), max_cosets)
-        if not res.is_finite:
-            raise RuntimeError(
-                f"enumeration budget {max_cosets} too small for {render_symbol(s)}")
-        n = res.order
+        mu, beta = (s.pairs[0].mu, s.pairs[0].beta) if s.pairs else (1, 0)
+        n = 4 * mu * abs(s.obstruction * mu - beta)
         h1 = abelianization(pi1_presentation(s))
         if len(h1.torsion) <= 1 and h1.order() == n:
             # cyclic group: the lens member L(4k, 2k-1)
             return SmallResult("lens", f"L({n},{n // 2 - 1})",
                                lens=lens_normalize(n, n // 2 - 1))
-        assert n % 4 == 0, f"unexpected prism order {n}"
         return SmallResult("platonic", f"platonic (2,2,{n // 4})",
                            triple=(2, 2, n // 4))
     return None
@@ -172,7 +170,7 @@ _SMALL_NOTES = {
 }
 
 
-def predicates(s: SeifertSymbol, max_cosets: int = 100000) -> PredicateReport:
+def predicates(s: SeifertSymbol) -> PredicateReport:
     """Full predicate block for a symbol.
 
     Spaces that are not small satisfy the uniform positive block
@@ -183,7 +181,7 @@ def predicates(s: SeifertSymbol, max_cosets: int = 100000) -> PredicateReport:
     Small spaces take their flags from a fixed per-space table.
     """
     s = normalize_symbol(s)
-    small = classify_small(s, max_cosets)
+    small = classify_small(s)
     flat = is_flat(s)
     notes = []
     if small is None:

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -184,6 +185,14 @@ def test_report_bounded_warning():
     assert rep["euler_sum"] is None
     assert rep["h1"] == "Z^2"
     assert rep["recognition"] == "fibered solid torus"
+
+
+def test_report_large_lens_is_closed_form():
+    # the old sewing-matrix search scanned every unit mod p, about 27 s here
+    start = time.perf_counter()
+    rep = build_report("(O,o,0 | 1, (100000007,1))")
+    assert time.perf_counter() - start < 2
+    assert rep["recognition"] == "L(100000006,1)"
 
 
 def test_report_stdin_json_lines(capsys, monkeypatch):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seifert import (AbelianGroup, FuchsianSignature, InvalidIndex,
-                     LimitTooSmall, Presentation, SizeClass, ValidityError,
+from seifert import (AbelianGroup, FuchsianSignature, InternalError,
+                     InvalidIndex, LimitTooSmall, Presentation, SizeClass,
+                     ValidityError,
                      abelianization, coset_enumerate, fuchsian_euler,
                      fuchsian_quotient, fuchsian_size_class, parse_symbol,
                      pi1_presentation, presentation_text, signature_of_symbol,
@@ -329,6 +330,13 @@ def test_size_class_examples():
         FuchsianSignature(False, 2, 0, ())) == SizeClass.ZERO_CHI
     assert fuchsian_size_class(
         FuchsianSignature(True, 4, 0, ())) == SizeClass.NEGATIVE_CHI
+
+
+def test_size_class_zero_chi_cross_check_survives_optimization(monkeypatch):
+    # an explicit raise, unlike an assert, is not stripped by python -O
+    monkeypatch.setattr("seifert.groups._ZERO_CHI_TABLE", frozenset())
+    with pytest.raises(InternalError):
+        fuchsian_size_class(FuchsianSignature(True, 0, 0, (2, 3, 6)))
 
 
 def test_signature_of_closed_symbol():

@@ -3,15 +3,17 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from seifert import (BadDeterminant, ClassPart, GluingMatrix, LensParams,
-                     NotCoprime, ReducedFraction, SeifertSymbol, WrongBase,
-                     abelianization, crossing_invariants, fibering_transform,
-                     is_platonic_triple, lens_equivalent, lens_normalize,
-                     normalize_symbol, parse_symbol, pi1_presentation,
-                     recognize_S2_symbol, sphere_h1_order)
+from lens_oracle import _candidate_bs, _search_witness
+from seifert import (BadDeterminant, ClassPart, CrossingPair, GluingMatrix,
+                     LensParams, NotCoprime, ReducedFraction, SeifertSymbol,
+                     WrongBase, abelianization, crossing_invariants,
+                     fibering_transform, is_platonic_triple, lens_equivalent,
+                     lens_normalize, normalize_symbol, parse_symbol,
+                     pi1_presentation, recognize_S2_symbol, sphere_h1_order)
+from seifert.lens import _sewing_q
 
 _S2 = ClassPart("O", "o", 0)
 
@@ -71,6 +73,18 @@ def unimodular(q, p, shift=0):
     if q * s - p * r != 1:
         raise AssertionError("bad completion")
     return GluingMatrix(q, r, p, s)
+
+
+def crossing_pairs(max_count, mu_max=9):
+    """Lists of at most max_count valid (mu, beta) pairs, mu >= 2."""
+    pair = st.integers(2, mu_max).flatmap(lambda mu: st.tuples(
+        st.just(mu), st.sampled_from([b for b in range(1, mu) if gcd(b, mu) == 1])))
+    return st.lists(pair, max_size=max_count)
+
+
+def sphere_symbol(b, pairs):
+    return normalize_symbol(SeifertSymbol(
+        _S2, 0, 0, b, tuple(CrossingPair(m, n) for m, n in pairs)))
 
 
 def extended_gcd(a, b):
@@ -205,6 +219,14 @@ def test_recognize_two_fiber_lens():
     assert rec.witness.det in (1, -1)
 
 
+def test_recognize_takes_the_obstruction_from_the_symbol():
+    # both obstructions give |H1| = 8; the old search reported L(8,1) twice
+    rec = recognize_S2_symbol(parse_symbol("(O,o,0 | 1, (4,1), (4,1))"))
+    assert rec.lens == LensParams(8, 3)
+    rec = recognize_S2_symbol(parse_symbol("(O,o,0 | 0, (4,1), (4,1))"))
+    assert rec.lens == LensParams(8, 1)
+
+
 def test_recognize_single_fiber_sphere():
     rec = recognize_S2_symbol(parse_symbol("(O,o,0 | 0, (3,1))"))
     assert rec.kind == "S3"
@@ -288,3 +310,35 @@ def test_any_sewing_recognizes_as_its_own_lens_space(p, qpick, shift, mu,
     if mat.p * f.num + mat.s * f.den == 0:
         return
     assert lens_normalize(p, q) in recognized_classes(mat, f)
+
+
+# the closed form against the old sewing-matrix search
+
+
+@settings(max_examples=200)
+@given(st.integers(-4, 4), crossing_pairs(2))
+def test_closed_form_matches_the_old_search(b, pairs):
+    s = sphere_symbol(b, pairs)
+    rec = recognize_S2_symbol(s)
+    p = rec.lens.p
+    # where two obstructions give |H1| = p the search may pick either
+    assume(len(_candidate_bs(s.pairs, p)) == 1)
+    q, _ = _search_witness(s, p)
+    assert rec.lens == lens_normalize(p, q)
+
+
+@given(st.integers(-6, 6), crossing_pairs(2, mu_max=30))
+def test_sewing_q_is_symmetric_in_the_two_fibers(b, pairs):
+    first, second = (pairs + [(1, 0), (1, 0)])[:2]
+    p = sphere_h1_order(b, [CrossingPair(*first), CrossingPair(*second)])
+    assert (lens_normalize(p, _sewing_q(b, first, second))
+            == lens_normalize(p, _sewing_q(b, second, first)))
+
+
+@given(st.integers(-50, 50), crossing_pairs(2, mu_max=60))
+def test_witness_is_unimodular_with_left_column_q_p(b, pairs):
+    rec = recognize_S2_symbol(sphere_symbol(b, pairs))
+    w = rec.witness
+    assert w.det in (1, -1)
+    assert abs(w.p) == rec.lens.p
+    assert lens_normalize(abs(w.p), w.q) == rec.lens

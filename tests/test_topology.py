@@ -1,20 +1,24 @@
 """Small/flat taxonomy, predicate block, bounded homeomorphism test."""
 
+import inspect
 from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seifert import (ExcludedSpace, LensParams, SizeClass, ValidityError,
                      bounded_equivalent, classify_small, coset_enumerate,
                      euler_sum, fuchsian_size_class, is_flat, lens_normalize,
                      normalize_symbol, parse_symbol, pi1_presentation,
                      predicates, signature_of_symbol, sphere_h1_order)
+from seifert.cli import run_cli
 from seifert.topology import _FLAT_BOUNDED_TEXT, _FLAT_CLOSED_TEXT
 
 
-def small(text, **kw):
-    return classify_small(parse_symbol(text), **kw)
+def small(text):
+    return classify_small(parse_symbol(text))
 
 
 # recognition of the finite-quotient spaces
@@ -85,9 +89,34 @@ def test_projective_base_order_matches_enumeration():
         assert res.triple == (2, 2, order // 4)
 
 
-def test_projective_base_budget_failure_is_loud():
-    with pytest.raises(RuntimeError):
-        small("(O,n,1 | 5)", max_cosets=10)
+def test_projective_base_large_prisms():
+    # orders 122008 and 57840 are past the default coset budget
+    assert small("(O,n,1 | 3, (101,1))").name == "platonic (2,2,30502)"
+    assert small("(O,n,1 | -4, (60,1))").name == "platonic (2,2,14460)"
+
+
+def test_projective_base_needs_no_budget(monkeypatch, capsys):
+    assert "max_cosets" not in inspect.signature(classify_small).parameters
+    assert small("(O,n,1 | 5)").name == "platonic (2,2,5)"
+    # a budget that cannot enumerate the order-20 group leaves report as is
+    monkeypatch.setenv("SEIFERT_MAX_COSETS", "10")
+    assert run_cli(["report", "(O,n,1 | 5)"]) == 0
+    assert "recognition: platonic (2,2,5)" in capsys.readouterr().out
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 13).flatmap(lambda mu: st.tuples(
+    st.just(mu),
+    st.sampled_from([b for b in range(mu) if gcd(b, mu) == 1] if mu > 1 else [0]))),
+    st.integers(-3, 3))
+def test_prism_order_matches_enumeration(pair, b):
+    mu, beta = pair
+    text = f"(O,n,1 | {b}, ({mu},{beta}))"
+    assume(text != "(O,n,1 | 0, (1,0))")
+    res = small(text)
+    order = res.lens.p if res.category == "lens" else 4 * res.triple[2]
+    enum = coset_enumerate(pi1_presentation(parse_symbol(text)), 200000)
+    assert enum.is_finite and enum.order == order
 
 
 def test_small_means_finite_fuchsian_quotient():
