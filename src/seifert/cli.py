@@ -19,12 +19,11 @@ from .arith import ReducedFraction
 from .covers import euler_sum, fiberless_cover, orientable_double_cover
 from .errors import InputError, NotClosedOriented, PreconditionError
 from .fst import HomeoMode, fst_equivalent, fst_normalize, lift_fiber
-from .groups import (abelianization, coset_enumerate, fuchsian_quotient,
-                     pi1_presentation, presentation_text)
-from .lens import GluingMatrix, LensParams, fibering_transform, lens_normalize
-from .symbol import (EquivalenceMode, SeifertSymbol, normalize_symbol,
-                     parse_symbol, render_symbol, reverse_orientation,
-                     symbols_equivalent)
+from .groups import (_quotient_by_h, abelianization, coset_enumerate,
+                     fuchsian_quotient, pi1_presentation, presentation_text)
+from .lens import GluingMatrix, fibering_transform, lens_normalize
+from .symbol import (EquivalenceMode, normalize_symbol, parse_symbol,
+                     render_symbol, reverse_orientation, symbols_equivalent)
 from .topology import predicates
 
 BOUNDED_WARNING = ("bounded symbol: no obstruction slot; comparisons use the "
@@ -40,13 +39,6 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _class_label(s: SeifertSymbol) -> str:
-    cp = s.class_part
-    if cp.subtype:
-        return f"({cp.total},{cp.orbit},{cp.subtype},{cp.genus})"
-    return f"({cp.total},{cp.orbit},{cp.genus})"
-
-
 def build_report(text: str, max_cosets: int = 100000) -> dict:
     """Assemble the full report dict, keys in schema order.
 
@@ -56,6 +48,7 @@ def build_report(text: str, max_cosets: int = 100000) -> dict:
     s = parse_symbol(text)
     ns = normalize_symbol(s)
     pred = predicates(ns)
+    pi1 = pi1_presentation(ns)
     try:
         es = _frac(euler_sum(ns).value)
     except NotClosedOriented:
@@ -66,11 +59,11 @@ def build_report(text: str, max_cosets: int = 100000) -> dict:
     return {
         "input": text,
         "normalized": render_symbol(ns),
-        "class_label": _class_label(ns),
+        "class_label": f"({ns.class_part.text()})",
         "predicates": pred_dict,
-        "pi1": presentation_text(pi1_presentation(ns)),
-        "fuchsian": presentation_text(fuchsian_quotient(ns)),
-        "h1": abelianization(pi1_presentation(ns)).describe(),
+        "pi1": presentation_text(pi1),
+        "fuchsian": presentation_text(_quotient_by_h(pi1)),
+        "h1": abelianization(pi1).describe(),
         "euler_sum": es,
         "recognition": pred.named,
         "warnings": warnings,

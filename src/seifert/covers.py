@@ -16,7 +16,8 @@ from math import lcm
 from .errors import (AlreadyOrientable, IndexNotDivisible, InternalError,
                      NotClosed, NotClosedOriented, OddEulerCharacteristic,
                      QuotientFinite, ValidityError)
-from .groups import SizeClass, fuchsian_size_class, signature_of_symbol
+from .groups import (SizeClass, fuchsian_euler, fuchsian_size_class,
+                     signature_of_symbol)
 from .symbol import ClassPart, CrossingPair, SeifertSymbol, normalize_symbol
 
 
@@ -94,6 +95,23 @@ class FiberlessCover:
     orbit_known: bool
 
 
+def _fiberless_base(s: SeifertSymbol, sheets: int = 1):
+    """Normal form and orbifold Euler characteristic of a cover base.
+
+    Raises NotClosedOriented off closed class O, ValidityError for a
+    sheet count below 1 and QuotientFinite over a finite quotient.
+    """
+    s = normalize_symbol(s)
+    if not s.is_closed or s.class_part.total != "O":
+        raise NotClosedOriented("fiberless covers need a closed class-O symbol")
+    if sheets < 1:
+        raise ValidityError(f"sheet count must be >= 1, got {sheets}")
+    sig = signature_of_symbol(s)
+    if fuchsian_size_class(sig) == SizeClass.FINITE:
+        raise QuotientFinite("Fuchsian quotient is finite; no fiberless cover")
+    return s, fuchsian_euler(sig)
+
+
 def fiberless_cover(s: SeifertSymbol, sheets: int) -> FiberlessCover:
     """Pass to a sheets-fold cover without exceptional fibers.
 
@@ -105,20 +123,13 @@ def fiberless_cover(s: SeifertSymbol, sheets: int) -> FiberlessCover:
     hypothesis. Existence of a subgroup realizing the sheet count is
     not checked; the arithmetic is exact for any valid count.
     """
-    s = normalize_symbol(s)
-    if not s.is_closed or s.class_part.total != "O":
-        raise NotClosedOriented("fiberless covers need a closed class-O symbol")
-    if sheets < 1:
-        raise ValidityError(f"sheet count must be >= 1, got {sheets}")
-    if fuchsian_size_class(signature_of_symbol(s)) == SizeClass.FINITE:
-        raise QuotientFinite("Fuchsian quotient is finite; no fiberless cover")
+    s, orbifold_chi = _fiberless_base(s, sheets)
     for p in s.pairs:
         if sheets % p.mu != 0:
             raise IndexNotDivisible(
                 f"fiber index {p.mu} does not divide sheet count {sheets}")
     b = sheets * euler_sum(s).value
-    deficiency = sum(Fraction(p.mu - 1, p.mu) for p in s.pairs)
-    chi = sheets * (Fraction(s.orbit_chi()) - deficiency)
+    chi = sheets * orbifold_chi
     if b.denominator != 1 or chi.denominator != 1:
         raise InternalError(f"cover obstruction {b} or orbit chi {chi} "
                             f"not integral at {sheets} sheets")
@@ -143,14 +154,9 @@ def suggest_cover_sheets(s: SeifertSymbol) -> int:
     would leave an odd cover orbit characteristic. Purely arithmetic:
     whether a subgroup of this index exists is a separate question.
     """
-    s = normalize_symbol(s)
-    if not s.is_closed or s.class_part.total != "O":
-        raise NotClosedOriented("fiberless covers need a closed class-O symbol")
-    if fuchsian_size_class(signature_of_symbol(s)) == SizeClass.FINITE:
-        raise QuotientFinite("Fuchsian quotient is finite; no fiberless cover")
+    s, orbifold_chi = _fiberless_base(s)
     base = lcm(*(p.mu for p in s.pairs)) if s.pairs else 1
-    deficiency = sum(Fraction(p.mu - 1, p.mu) for p in s.pairs)
-    chi = base * (Fraction(s.orbit_chi()) - deficiency)
+    chi = base * orbifold_chi
     if chi.denominator == 1 and int(chi) % 2 == 0:
         return base
     return 2 * base

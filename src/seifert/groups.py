@@ -3,9 +3,9 @@
 The group of a fibered space is generated by a central-up-to-sign fiber
 class h, the orbit surface generators, one loop per exceptional fiber and
 one per boundary component. Deleting h gives the Fuchsian quotient, the
-group of the orbit 2-orbifold. Both come with exact abelianization via
-Smith normal form and a coset enumerator for deciding finiteness within a
-coset budget.
+group of the orbit 2-orbifold, and that is how its presentation is
+computed. Both come with exact abelianization via Smith normal form and a
+coset enumerator for deciding finiteness within a coset budget.
 """
 
 from __future__ import annotations
@@ -119,9 +119,9 @@ class AbelianGroup:
 # Presentations of the fibered space and its quotient
 
 
-def _generator_layout(s: SeifertSymbol, with_h: bool):
+def _generator_layout(s: SeifertSymbol):
     cp = s.class_part
-    names = ["h"] if with_h else []
+    names = ["h"]
     surface = []
     if cp.orbit == "o":
         for i in range(1, cp.genus + 1):
@@ -176,7 +176,7 @@ def pi1_presentation(s: SeifertSymbol) -> Presentation:
     """
     s = normalize_symbol(s)
     cp = s.class_part
-    names, pairs, c_start, d_start = _generator_layout(s, with_h=True)
+    names, pairs, c_start, d_start = _generator_layout(s)
     h = 0
     signs = _phi_on_surface(cp)
     relators = []
@@ -218,32 +218,21 @@ def pi1_presentation(s: SeifertSymbol) -> Presentation:
 def fuchsian_quotient(s: SeifertSymbol) -> Presentation:
     """The quotient by the fiber class: the orbit 2-orbifold group.
 
-    Same generators without h; conjugation relators vanish, pair relators
-    become c^mu, and the closed long relator loses its h tail.
+    The group presentation with generator h deleted: conjugation
+    relators collapse to y y^-1 and vanish, pair relators become c^mu,
+    and the closed long relator loses its h tail.
     """
-    s = normalize_symbol(s)
-    cp = s.class_part
-    names, pairs, c_start, d_start = _generator_layout(s, with_h=False)
-    base = 0
+    return _quotient_by_h(pi1_presentation(s))
+
+
+def _quotient_by_h(p: Presentation) -> Presentation:
+    """A pi1_presentation with generator h deleted and words re-merged."""
     relators = []
-    for i, p in enumerate(pairs):
-        relators.append(_word((c_start + i, p.mu)))
-    if s.is_closed:
-        long_rel = []
-        if cp.orbit == "o":
-            for i in range(cp.genus):
-                a = base + 2 * i
-                bgen = base + 2 * i + 1
-                long_rel += [(a, 1), (bgen, 1), (a, -1), (bgen, -1)]
-        else:
-            for i in range(cp.genus):
-                long_rel.append((base + i, 2))
-        for i in range(len(pairs)):
-            long_rel.append((c_start + i, 1))
-        w = _word(*long_rel)
+    for word in p.relators:
+        w = _word(*((g - 1, e) for g, e in word if g != 0))
         if w:
             relators.append(w)
-    return Presentation(tuple(names), tuple(relators))
+    return Presentation(p.generators[1:], tuple(relators))
 
 
 def abelianization(p: Presentation) -> AbelianGroup:

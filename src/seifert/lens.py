@@ -140,17 +140,10 @@ def sphere_h1_order(b, pairs) -> int:
     in absolute value; agrees with the Smith-form order of the
     abelianized group.
     """
-    total = 0
     prod = 1
     for p in pairs:
         prod *= p.mu
-    for i, p in enumerate(pairs):
-        term = p.beta
-        for j, q in enumerate(pairs):
-            if j != i:
-                term *= q.mu
-        total += term
-    return abs(total - b * prod)
+    return abs(sum(p.beta * (prod // p.mu) for p in pairs) - b * prod)
 
 
 def _sewing_q(b, first, second) -> int:

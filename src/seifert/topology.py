@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ExcludedSpace, ValidityError
-from .groups import abelianization, pi1_presentation
-from .lens import lens_normalize, recognize_S2_symbol, sphere_h1_order
+from .fst import CrossingPair
+from .lens import _S2, lens_normalize, recognize_S2_symbol, sphere_h1_order
 from .symbol import (ClassPart, EquivalenceMode, SeifertSymbol, normalize_symbol,
-                     parse_symbol, render_symbol, symbols_equivalent)
+                     parse_symbol, symbols_equivalent)
 
-_S2 = ClassPart("O", "o", 0)
 _P2_N = ClassPart("N", "n", 1, "I")
 _P2_O = ClassPart("O", "n", 1)
 
@@ -45,13 +44,14 @@ def classify_small(s: SeifertSymbol):
     Bounded: only the fibered solid torus (disk orbit, at most one
     exceptional fiber). Closed sphere orbits go through lens-space
     recognition and the platonic triple test. Projective-plane orbits
-    with at most one exceptional fiber split by class: non-orientable
-    total spaces are P2xS1 or the twisted S2 bundle over S1 (first
-    homology Z+Z/2 versus Z); orientable ones are P3#P3 at zero
-    obstruction and otherwise a lens space L(4n,2n-1) or a platonic
-    prism space. The group order is the prism closed form 4 mu |b mu -
-    beta| (4 |b| without a fiber); the space is the lens space exactly
-    when the first homology is cyclic of that order.
+    with at most one exceptional fiber (mu, beta) are named by closed
+    forms in t = b mu - beta (Orlik, Seifert Manifolds, 1972).
+    Non-orientable total spaces have first homology Z + Z/gcd(2, t):
+    P2xS1 when t is even, the twisted S2 bundle over S1 when it is odd.
+    Orientable ones are P3#P3 at t = 0; otherwise the group has order
+    4 mu |t| and its first homology order 4 mu, cyclic exactly when t
+    is odd, so the space is the lens space L(4n,2n-1) when |t| = 1 and
+    a platonic prism space otherwise.
     """
     s = normalize_symbol(s)
     cp = s.class_part
@@ -68,19 +68,20 @@ def classify_small(s: SeifertSymbol):
         if rec.kind == "Lens":
             return SmallResult("lens", rec.name(), lens=rec.lens)
         return SmallResult(rec.kind, rec.name(), lens=rec.lens)
-    if cp == _P2_N and s.fiber_count <= 1:
-        h1 = abelianization(pi1_presentation(s))
-        if h1.torsion:
-            return SmallResult("P2xS1", "P2xS1")
-        return SmallResult("twisted-S2-bundle", "twisted S2 bundle over S1")
-    if cp == _P2_O and len(s.pairs) <= 1:
-        if s.obstruction == 0 and not s.pairs:
+    if cp in (_P2_N, _P2_O) and s.fiber_count <= 1:
+        # a missing fiber reads as (1,0), the index-2 count as (2,1)
+        (f,) = s.expanded_pairs() or (CrossingPair(1, 0),)
+        b = s.obstruction if cp.total == "O" else s.obstruction[0]
+        t = b * f.mu - f.beta
+        if cp == _P2_N:
+            if t % 2 == 0:
+                return SmallResult("P2xS1", "P2xS1")
+            return SmallResult("twisted-S2-bundle", "twisted S2 bundle over S1")
+        if t == 0:
             return SmallResult("P3#P3", "P3#P3")
-        mu, beta = (s.pairs[0].mu, s.pairs[0].beta) if s.pairs else (1, 0)
-        n = 4 * mu * abs(s.obstruction * mu - beta)
-        h1 = abelianization(pi1_presentation(s))
-        if len(h1.torsion) <= 1 and h1.order() == n:
-            # cyclic group: the lens member L(4k, 2k-1)
+        n = 4 * f.mu * abs(t)
+        if abs(t) == 1:
+            # the group order 4 mu is |H1|, so the group is cyclic
             return SmallResult("lens", f"L({n},{n // 2 - 1})",
                                lens=lens_normalize(n, n // 2 - 1))
         return SmallResult("platonic", f"platonic (2,2,{n // 4})",
@@ -112,8 +113,7 @@ _FLAT_BOUNDED_TEXT = [
 
 
 def _freeze(texts):
-    return frozenset(render_symbol(normalize_symbol(parse_symbol(t)))
-                     for t in texts)
+    return frozenset(normalize_symbol(parse_symbol(t)) for t in texts)
 
 
 _FLAT_CLOSED = _freeze(_FLAT_CLOSED_TEXT)
@@ -123,7 +123,7 @@ _FLAT = _FLAT_CLOSED | _FLAT_BOUNDED
 
 def is_flat(s: SeifertSymbol) -> bool:
     """Membership in the fixed flat family (eleven closed, five bounded)."""
-    return render_symbol(normalize_symbol(s)) in _FLAT
+    return normalize_symbol(s) in _FLAT
 
 
 @dataclass(frozen=True)
@@ -218,7 +218,7 @@ def bounded_equivalent(s1: SeifertSymbol, s2: SeifertSymbol) -> bool:
             raise ValidityError("bounded_equivalent needs bounded symbols")
         if _is_solid_torus_schema(s):
             raise ExcludedSpace("solid torus (fibered solid torus symbol)")
-        if render_symbol(s) in _FLAT_BOUNDED:
+        if s in _FLAT_BOUNDED:
             raise ExcludedSpace("I-bundle over the torus or Klein bottle")
         out.append(s)
     return symbols_equivalent(out[0], out[1], EquivalenceMode.UNORIENTED_FIBER)

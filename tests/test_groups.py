@@ -14,7 +14,9 @@ from seifert import (AbelianGroup, FuchsianSignature, InternalError,
                      fuchsian_quotient, fuchsian_size_class, parse_symbol,
                      pi1_presentation, presentation_text, signature_of_symbol,
                      triangle_info, triangle_presentation)
-from symbolgen import any_symbols
+import presentation_oracle
+from symbolgen import (any_symbols, bounded_symbols, closed_nonorientable_symbols,
+                       closed_oriented_symbols)
 
 
 # permutation-group oracle: closure size by breadth-first multiplication
@@ -148,6 +150,15 @@ def test_fuchsian_trivial_for_obstruction_only():
     p = fuchsian_quotient(parse_symbol("(O,o,0 | 5)"))
     assert p.generators == ()
     assert p.relators == ()
+
+
+@settings(max_examples=200)
+@given(st.one_of(closed_oriented_symbols, closed_nonorientable_symbols,
+                 bounded_symbols))
+def test_fuchsian_quotient_matches_the_direct_builder(s):
+    # the quotient deletes h from the group presentation; the oracle
+    # builds the orbifold presentation from scratch
+    assert fuchsian_quotient(s) == presentation_oracle.fuchsian_quotient(s)
 
 
 # abelianization

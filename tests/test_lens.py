@@ -157,6 +157,14 @@ def test_normalize_idempotent_and_canonical(pq):
     assert n.q == min(orbit(p, q))
 
 
+@settings(max_examples=150)
+@given(crossing_pairs(6), st.integers(-6, 6))
+def test_sphere_h1_order_matches_smith_form(pairs, b):
+    s = sphere_symbol(b, pairs)
+    order = abelianization(pi1_presentation(s)).order()
+    assert sphere_h1_order(s.obstruction, s.pairs) == order
+
+
 # the sewing transform
 
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from seifert import (ExcludedSpace, LensParams, SizeClass, ValidityError,
+from seifert import (ClassPart, CrossingPair, ExcludedSpace, LensParams,
+                     SeifertSymbol, SizeClass, ValidityError, abelianization,
                      bounded_equivalent, classify_small, coset_enumerate,
                      euler_sum, fuchsian_size_class, is_flat, lens_normalize,
                      normalize_symbol, parse_symbol, pi1_presentation,
@@ -117,6 +118,42 @@ def test_prism_order_matches_enumeration(pair, b):
     order = res.lens.p if res.category == "lens" else 4 * res.triple[2]
     enum = coset_enumerate(pi1_presentation(parse_symbol(text)), 200000)
     assert enum.is_finite and enum.order == order
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["N", "O"]),
+       st.integers(1, 40).flatmap(lambda mu: st.tuples(
+           st.just(mu),
+           st.sampled_from([b for b in range(mu) if gcd(b, mu) == 1]))),
+       st.integers(-6, 6), st.integers(0, 1))
+def test_projective_closed_forms_match_first_homology(total, pair, b, s_count):
+    mu, beta = pair
+    pairs = (CrossingPair(mu, beta),) if mu > 1 else ()
+    if total == "N":
+        raw = SeifertSymbol(ClassPart("N", "n", 1, "I"), 0, 0, (b, s_count), pairs)
+    else:
+        raw = SeifertSymbol(ClassPart("O", "n", 1), 0, 0, b, pairs)
+    s = normalize_symbol(raw)
+    assume(s.fiber_count <= 1)
+    # the closed forms read b mu - beta off the normal form, padding (1, 0)
+    fibers = s.expanded_pairs()
+    mu, beta = (fibers[0].mu, fibers[0].beta) if fibers else (1, 0)
+    t = (s.obstruction if total == "O" else s.obstruction[0]) * mu - beta
+    h1 = abelianization(pi1_presentation(s))
+    res = classify_small(s)
+    if total == "N":
+        assert h1.free_rank == 1
+        assert h1.torsion == ((2,) if t % 2 == 0 else ())
+        assert res.category == ("P2xS1" if h1.torsion else "twisted-S2-bundle")
+        return
+    assert h1.order() == 4 * mu
+    assert (len(h1.torsion) <= 1) == (t % 2 == 1)
+    assert (res.category == "P3#P3") == (t == 0)
+    if t == 0:
+        return
+    # the lens member is the one whose group is its cyclic first homology
+    cyclic_of_group_order = len(h1.torsion) <= 1 and h1.order() == 4 * mu * abs(t)
+    assert (res.category == "lens") == cyclic_of_group_order
 
 
 def test_small_means_finite_fuchsian_quotient():
