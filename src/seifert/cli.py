@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from .arith import ReducedFraction
 from .covers import euler_sum, fiberless_cover, orientable_double_cover
-from .errors import InputError, NotClosedOriented, PreconditionError
+from .errors import (InputError, NotClosedOriented, PreconditionError,
+                     SeifertError)
 from .fst import HomeoMode, fst_equivalent, fst_normalize, lift_fiber
 from .groups import (_quotient_by_h, abelianization, coset_enumerate,
                      fuchsian_quotient, pi1_presentation, presentation_text)
@@ -181,7 +182,7 @@ def _dispatch(args) -> int:
                     continue
                 try:
                     rep = build_report(line)
-                except InputError as exc:
+                except SeifertError as exc:
                     rep = {"input": line, "error": str(exc)}
                 print(json.dumps(rep))
             return 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 
 from .arith import IntMatrix, smith_normal_form
 from .errors import (InternalError, InvalidIndex, InvalidSurface, LimitTooSmall,
@@ -236,17 +237,24 @@ def _quotient_by_h(p: Presentation) -> Presentation:
 
 
 def abelianization(p: Presentation) -> AbelianGroup:
-    """Abelianize by Smith normal form of the exponent-sum matrix."""
-    rows = []
+    """Abelianize by Smith normal form of the exponent-sum matrix.
+
+    Zero and repeated rows and columns change neither the rank nor the
+    invariant factors, so only the distinct nonzero ones reach the Smith
+    normal form; the free rank is the number of generators minus the rank.
+    """
+    n = len(p.generators)
+    rows = {}
     for word in p.relators:
-        row = [0] * len(p.generators)
+        row = [0] * n
         for g, e in word:
             row[g] += e
-        rows.append(row)
-    if not rows:
-        return AbelianGroup(len(p.generators), ())
-    factors, defect = smith_normal_form(IntMatrix.from_rows(rows))
-    return AbelianGroup(defect, tuple(d for d in factors if d > 1))
+        if any(row):
+            rows[tuple(row)] = None
+    cols = list(dict.fromkeys(filter(any, zip(*rows))))
+    flat = tuple(chain.from_iterable(zip(*cols)))
+    factors, _ = smith_normal_form(IntMatrix(len(rows), len(cols), flat))
+    return AbelianGroup(n - len(factors), tuple(d for d in factors if d > 1))
 
 
 # ---------------------------------------------------------------------------

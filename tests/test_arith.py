@@ -1,14 +1,17 @@
 """Reduced fractions mod 1 and Smith normal form."""
 
 import random
+from itertools import combinations
 from math import gcd, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seifert import (IntMatrix, ReducedFraction, ZeroDenominator, reduce_mod1,
                      smith_normal_form)
+
+import snf_oracle
 
 
 def det_cofactor(rows):
@@ -136,3 +139,57 @@ def test_smith_invariant_under_row_and_column_operations(rows, seed):
             c = rng.randint(-3, 3)
             work[i] = [a + c * b for a, b in zip(work[i], work[j])]
     assert smith_normal_form(IntMatrix.from_rows(work)) == base
+
+
+def _matrix(rows, ncols):
+    return IntMatrix(len(rows), ncols, tuple(x for r in rows for x in r))
+
+
+@st.composite
+def rectangular(draw, max_rows=6, max_cols=6):
+    ncols = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.lists(st.integers(-12, 12), min_size=ncols,
+                                  max_size=ncols), max_size=max_rows))
+    return rows, ncols
+
+
+@st.composite
+def rank_deficient(draw, max_rows=6, max_cols=6):
+    # every row a small combination of at most two basis rows
+    ncols = draw(st.integers(1, max_cols))
+    basis = draw(st.lists(st.lists(st.integers(-12, 12), min_size=ncols,
+                                   max_size=ncols), min_size=1, max_size=2))
+    coeffs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(basis),
+                                    max_size=len(basis)), max_size=max_rows))
+    rows = [[sum(c * b[j] for c, b in zip(co, basis)) for j in range(ncols)]
+            for co in coeffs]
+    return rows, ncols
+
+
+@settings(max_examples=300)
+@given(st.one_of(rectangular(), rank_deficient()))
+def test_smith_matches_the_unbounded_oracle(drawn):
+    m = _matrix(*drawn)
+    assert smith_normal_form(m) == snf_oracle.smith_normal_form(m)
+
+
+def _minors_gcd(rows, k):
+    # gcd of every k x k minor, by cofactor expansion
+    g = 0
+    for ri in combinations(range(len(rows)), k):
+        for ci in combinations(range(len(rows[0])), k):
+            g = gcd(g, det_cofactor([[rows[i][j] for j in ci] for i in ri]))
+    return g
+
+
+@given(st.one_of(rectangular(4, 5), rank_deficient(4, 5)))
+def test_smith_factors_are_determinantal_divisor_ratios(drawn):
+    rows, ncols = drawn
+    factors, defect = smith_normal_form(_matrix(rows, ncols))
+    rank = len(factors)
+    assert defect == ncols - rank
+    for k in range(1, rank + 1):
+        assert prod(factors[:k]) == _minors_gcd(rows, k)
+    if rank < min(len(rows), ncols):
+        assert _minors_gcd(rows, rank + 1) == 0
+

@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from seifert import parse_symbol, render_symbol, reverse_orientation
+from seifert import (InternalError, parse_symbol, render_symbol,
+                     reverse_orientation)
 from seifert.cli import BOUNDED_WARNING, build_report, run_cli
 
 POINCARE_FAMILY = "(O,o,0 | -1, (2,1), (3,1), (5,1))"
@@ -195,6 +196,35 @@ def test_report_large_lens_is_closed_form():
     assert rep["recognition"] == "L(100000006,1)"
 
 
+# Many-fiber symbols whose first homology took the unbounded Smith normal
+# form seconds (the last three) or more than two minutes (the first).
+MANY_FIBERS = [
+    ("(O,o,3 | 2, (44,25), (26,25), (43,34), (59,14), (60,7), (55,36), "
+     "(46,7), (15,13), (19,3), (59,11), (6,1), (38,37), (42,41), (58,35), "
+     "(48,31), (35,16), (21,20), (58,27), (3,1), (9,5))",
+     "Z^6 + Z/2 + Z/2 + Z/6 + Z/6 + Z/6 + Z/6 + Z/30 + Z/420 "
+     "+ Z/30702347915954783473020"),
+    ("(N,n,II,5 | (1,1), (2,1), (3,1), (5,2), (7,3), (4,1), (9,2), (3,2), "
+     "(5,1), (8,3), (6,1))",
+     "Z^4 + Z/2 + Z/6 + Z/6 + Z/60 + Z/10080"),
+    ("(N,o,5 | (0,0), (4,3), (2,1), (9,8), (5,1), (7,3), (7,3), (7,6), "
+     "(7,1), (3,2), (2,1), (9,2), (8,5))",
+     "Z^10 + Z/14 + Z/42 + Z/252"),
+    ("(O,n,2 | 1, (9,1), (4,3), (5,4), (4,1), (2,1), (3,2), (9,7), (7,5), "
+     "(8,5), (3,2))",
+     "Z + Z/6 + Z/12 + Z/36 + Z/10080"),
+]
+
+
+@pytest.mark.parametrize("symbol,h1", MANY_FIBERS,
+                         ids=[s[1:s.index(" |")] for s, _ in MANY_FIBERS])
+def test_report_many_fibers_is_fast(symbol, h1):
+    start = time.perf_counter()
+    rep = build_report(symbol)
+    assert time.perf_counter() - start < 1
+    assert rep["h1"] == h1
+
+
 def test_report_stdin_json_lines(capsys, monkeypatch):
     lines = "(O,o,0 | 1)\n\n(O,o,0|bad)\n(O,o,1 | 0)\n"
     monkeypatch.setattr(sys, "stdin", io.StringIO(lines))
@@ -206,6 +236,24 @@ def test_report_stdin_json_lines(capsys, monkeypatch):
     assert recs[1] == {"input": "(O,o,0|bad)",
                        "error": "expected an integer (at position 7)"}
     assert recs[2]["predicates"]["flat"] is True
+
+
+def test_report_stdin_isolates_every_failure(capsys, monkeypatch):
+    def build(text):
+        if text == "(O,o,0 | 2)":
+            raise InternalError("broken invariant")
+        return build_report(text)
+
+    monkeypatch.setattr("seifert.cli.build_report", build)
+    monkeypatch.setattr(sys, "stdin",
+                        io.StringIO("(O,o,0 | 1)\n(O,o,0 | 2)\n(O,o,0 | 3)\n"))
+    rc, out, err = run(capsys, ["report", "--stdin"])
+    assert (rc, err) == (0, "")
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert len(recs) == 3
+    assert recs[1] == {"input": "(O,o,0 | 2)", "error": "broken invariant"}
+    assert recs[0]["normalized"] == "(O,o,0 | 1)"
+    assert recs[2]["normalized"] == "(O,o,0 | 3)"
 
 
 def test_report_requires_input(capsys):
