@@ -2,9 +2,12 @@
 
 Exit codes: 0 success or positive answer, 1 well-formed negative answer
 (distinct symbols, undetermined order), 2 malformed input, 3 precondition
-failures (operation not defined for this symbol). Only `group order`
-enumerates cosets; its budget is 100000 cosets unless SEIFERT_MAX_COSETS
-or --max-cosets says otherwise.
+failures (operation not defined for this symbol). No command enumerates
+cosets: `group order` reads the order of a finite group off the small-space
+recognition, and an infinite group gets the verdict "not determined within
+N cosets", where N is the coset budget (100000 unless SEIFERT_MAX_COSETS or
+--max-cosets says otherwise); enumeration within any budget never closes on
+an infinite group.
 """
 
 from __future__ import annotations
@@ -17,15 +20,15 @@ from fractions import Fraction
 
 from .arith import ReducedFraction
 from .covers import euler_sum, fiberless_cover, orientable_double_cover
-from .errors import (InputError, NotClosedOriented, PreconditionError,
-                     SeifertError)
+from .errors import (InputError, LimitTooSmall, NotClosedOriented,
+                     PreconditionError, SeifertError)
 from .fst import HomeoMode, fst_equivalent, fst_normalize, lift_fiber
-from .groups import (_quotient_by_h, abelianization, coset_enumerate,
-                     fuchsian_quotient, pi1_presentation, presentation_text)
+from .groups import (_quotient_by_h, abelianization, fuchsian_quotient,
+                     pi1_presentation, presentation_text)
 from .lens import GluingMatrix, fibering_transform, lens_normalize
 from .symbol import (EquivalenceMode, normalize_symbol, parse_symbol,
                      render_symbol, reverse_orientation, symbols_equivalent)
-from .topology import predicates
+from .topology import classify_small, predicates
 
 BOUNDED_WARNING = ("bounded symbol: no obstruction slot; comparisons use the "
                    "folded normal form, which identifies fiber-orientation "
@@ -250,9 +253,11 @@ def _dispatch(args) -> int:
         budget = args.max_cosets
         if budget is None:
             budget = int(os.environ.get("SEIFERT_MAX_COSETS", "100000"))
-        result = coset_enumerate(pi1_presentation(s), budget)
-        if result.is_finite:
-            print(result.order)
+        if budget < 1:
+            raise LimitTooSmall("coset budget must be at least 1")
+        small = classify_small(s)
+        if small is not None and small.order is not None:
+            print(small.order)
             return 0
         print(f"not determined within {budget} cosets")
         return 1

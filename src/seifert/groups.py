@@ -5,7 +5,9 @@ class h, the orbit surface generators, one loop per exceptional fiber and
 one per boundary component. Deleting h gives the Fuchsian quotient, the
 group of the orbit 2-orbifold, and that is how its presentation is
 computed. Both come with exact abelianization via Smith normal form and a
-coset enumerator for deciding finiteness within a coset budget.
+coset enumerator for deciding finiteness within a coset budget. The
+enumerator is library API and the test oracle for the closed-form group
+order of topology.classify_small; the command line does not run it.
 """
 
 from __future__ import annotations

@@ -353,10 +353,12 @@ def normalize_symbol(s: SeifertSymbol) -> SeifertSymbol:
     """Put a symbol into its unique normal form.
 
     Ordinary (index 1) pairs dissolve into the obstruction. Closed class-N
-    symbols fold every beta into [0, mu/2], move index-2 pairs into the
-    count s, reduce b modulo 2 and zero it when s > 0. Bounded symbols
-    keep beta modulo mu (class O) or folded (class N) with no obstruction.
-    Listed pairs end up sorted by (mu, beta).
+    symbols fold every beta into [0, mu/2], each fold adding one to b (a
+    fiber-reversing loop turns (mu, beta) into (mu, -beta), which is
+    (mu, mu - beta) plus the index-1 pair (1, -1)), move index-2 pairs
+    into the count s, reduce b modulo 2 and zero it when s > 0. Bounded
+    symbols keep beta modulo mu (class O) or folded (class N) with no
+    obstruction. Listed pairs end up sorted by (mu, beta).
     """
     cp = s.class_part
     fold = cp.total == "N"
@@ -372,6 +374,7 @@ def normalize_symbol(s: SeifertSymbol) -> SeifertSymbol:
         mu, beta = p.mu, p.beta
         if fold and 2 * beta > mu:
             beta = mu - beta
+            b += 1
         if mu == 1:
             b += p.beta  # an integer fiber twist is pure obstruction
             continue

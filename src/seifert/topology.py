@@ -25,12 +25,16 @@ _P2_O = ClassPart("O", "n", 1)
 
 @dataclass(frozen=True)
 class SmallResult:
-    """A recognized small space: category key plus display name."""
+    """A recognized small space: category key plus display name.
+
+    order is the order of the fundamental group, None when it is infinite.
+    """
 
     category: str
     name: str
     lens: object = None
     triple: tuple | None = None
+    order: int | None = None
 
 
 def _is_solid_torus_schema(s: SeifertSymbol) -> bool:
@@ -38,9 +42,27 @@ def _is_solid_torus_schema(s: SeifertSymbol) -> bool:
             and s.boundary_klein == 0 and len(s.pairs) <= 1)
 
 
+def _platonic_order(b, pairs) -> int:
+    """|e| (2/chi)^2 over a sphere with a platonic index triple.
+
+    2/chi = 2 prod(mu) / (sum of pairwise products - prod(mu)) is the
+    order N of the triangle group and |e| = |H1| / prod(mu), so the
+    order is |H1| N^2 / prod(mu), in integers throughout.
+    """
+    m1, m2, m3 = (p.mu for p in pairs)
+    prod = m1 * m2 * m3
+    n = 2 * prod // (m1 * m2 + m1 * m3 + m2 * m3 - prod)
+    return sphere_h1_order(b, pairs) * n * n // prod
+
+
 def classify_small(s: SeifertSymbol):
     """Name the space when the Fuchsian quotient is finite, else None.
 
+    The result carries the order of the fundamental group, None when it
+    is infinite; a closed orientable space has a finite group exactly
+    when its base orbifold is spherical and e != 0 (Seifert 1933; Scott,
+    The geometries of 3-manifolds, 1983, section 3), and then the order
+    is |e| (2/chi)^2. S3 has order 1, a lens space L(p,q) order p.
     Bounded: only the fibered solid torus (disk orbit, at most one
     exceptional fiber). Closed sphere orbits go through lens-space
     recognition and the platonic triple test. Projective-plane orbits
@@ -64,10 +86,12 @@ def classify_small(s: SeifertSymbol):
         if rec.kind == "Generic":
             return None
         if rec.kind == "Platonic":
-            return SmallResult("platonic", rec.name(), triple=rec.triple)
-        if rec.kind == "Lens":
-            return SmallResult("lens", rec.name(), lens=rec.lens)
-        return SmallResult(rec.kind, rec.name(), lens=rec.lens)
+            return SmallResult("platonic", rec.name(), triple=rec.triple,
+                               order=_platonic_order(s.obstruction, s.pairs))
+        category = "lens" if rec.kind == "Lens" else rec.kind
+        # p = 0 is S2xS1, the one infinite group here
+        return SmallResult(category, rec.name(), lens=rec.lens,
+                           order=rec.lens.p or None)
     if cp in (_P2_N, _P2_O) and s.fiber_count <= 1:
         # a missing fiber reads as (1,0), the index-2 count as (2,1)
         (f,) = s.expanded_pairs() or (CrossingPair(1, 0),)
@@ -83,9 +107,9 @@ def classify_small(s: SeifertSymbol):
         if abs(t) == 1:
             # the group order 4 mu is |H1|, so the group is cyclic
             return SmallResult("lens", f"L({n},{n // 2 - 1})",
-                               lens=lens_normalize(n, n // 2 - 1))
+                               lens=lens_normalize(n, n // 2 - 1), order=n)
         return SmallResult("platonic", f"platonic (2,2,{n // 4})",
-                           triple=(2, 2, n // 4))
+                           triple=(2, 2, n // 4), order=n)
     return None
 
 
@@ -149,16 +173,16 @@ class PredicateReport:
 
 
 # (irreducible, p2_irreducible, aspherical, boundary_irreducible,
-#  pi1_finite, has_incompressible_surface)
+#  has_incompressible_surface); pi1_finite is the group order's
 _SMALL_FLAGS = {
-    "fibered-solid-torus": (True, True, True, False, False, False),
-    "S3": (True, True, False, True, True, False),
-    "lens": (True, True, False, True, True, False),
-    "platonic": (True, True, False, True, True, False),
-    "S2xS1": (False, False, False, True, False, True),
-    "twisted-S2-bundle": (False, False, False, True, False, True),
-    "P3#P3": (False, False, False, True, False, True),
-    "P2xS1": (True, False, False, True, False, True),
+    "fibered-solid-torus": (True, True, True, False, False),
+    "S3": (True, True, False, True, False),
+    "lens": (True, True, False, True, False),
+    "platonic": (True, True, False, True, False),
+    "S2xS1": (False, False, False, True, True),
+    "twisted-S2-bundle": (False, False, False, True, True),
+    "P3#P3": (False, False, False, True, True),
+    "P2xS1": (True, False, False, True, True),
 }
 
 _SMALL_NOTES = {
@@ -178,7 +202,8 @@ def predicates(s: SeifertSymbol) -> PredicateReport:
     infinite group, incompressible surface present), except that sphere
     bases with exactly three exceptional fibers contain an
     incompressible surface exactly when the first homology is infinite.
-    Small spaces take their flags from a fixed per-space table.
+    Small spaces take their flags from a fixed per-space table, except
+    pi1_finite, which is whether classify_small found a group order.
     """
     s = normalize_symbol(s)
     small = classify_small(s)
@@ -194,10 +219,11 @@ def predicates(s: SeifertSymbol) -> PredicateReport:
                          "exists exactly when first homology is infinite")
         return PredicateReport(None, flat, fin, irr, p2, asph, bd, inc,
                                None, tuple(notes))
-    irr, p2, asph, bd, fin, inc = _SMALL_FLAGS[small.category]
+    irr, p2, asph, bd, inc = _SMALL_FLAGS[small.category]
     note = _SMALL_NOTES.get(small.category)
     if note:
         notes.append(note)
+    fin = small.order is not None
     return PredicateReport(small.category, flat, fin, irr, p2, asph, bd, inc,
                            small.name, tuple(notes))
 

@@ -1,12 +1,16 @@
-"""The Fuchsian quotient builder from before the quotient was derived from
-the group presentation, kept as a test oracle.
+"""Presentation builders kept as test oracles.
 
-It lays out the generators without h and writes the pair relators c^mu
-and the closed long relator from scratch, so it shares no relator code
-with pi1_presentation.
+fuchsian_quotient is the quotient builder from before the quotient was
+derived from the group presentation. It lays out the generators without
+h and writes the pair relators c^mu and the closed long relator from
+scratch, so it shares no relator code with pi1_presentation.
+
+raw_pi1_presentation writes the group of a closed symbol straight from
+its data, without normalizing it first, so that normalization can be
+checked against the presentation recipe.
 """
 
-from seifert import Presentation, SeifertSymbol, normalize_symbol
+from seifert import CrossingPair, Presentation, SeifertSymbol, normalize_symbol
 from seifert.groups import _word
 
 
@@ -59,4 +63,50 @@ def fuchsian_quotient(s: SeifertSymbol) -> Presentation:
         w = _word(*long_rel)
         if w:
             relators.append(w)
+    return Presentation(tuple(names), tuple(relators))
+
+
+def _fiber_reversing(cp, nsurf) -> set:
+    """Positions of the orbit-surface generators that reverse the fiber."""
+    if (cp.total, cp.orbit) == ("O", "n"):
+        return set(range(nsurf))  # every crosscap
+    if (cp.total, cp.orbit) == ("N", "o"):
+        return {0}  # a1
+    return {"II": {0}, "III": {0, 1}}.get(cp.subtype, set())
+
+
+def raw_pi1_presentation(s: SeifertSymbol) -> Presentation:
+    """The group of a closed symbol from its data as given.
+
+    Pairs stay as listed, index-1 and index-2 pairs included, a class-N
+    count s adds that many (2,1) pairs, and b is used unreduced.
+    Generators: h, the orbit-surface generators, one c per pair. Every
+    generator conjugates h to h or h^-1, each pair gives c^mu h^beta, and
+    the long relator is the surface word, the c's and h^b.
+    """
+    cp = s.class_part
+    nsurf = 2 * cp.genus if cp.orbit == "o" else cp.genus
+    flips = _fiber_reversing(cp, nsurf)
+    if cp.total == "O":
+        b, count = s.obstruction, 0
+    else:
+        b, count = s.obstruction
+    pairs = list(s.pairs) + [CrossingPair(2, 1)] * count
+    names = (["h"] + [f"y{k}" for k in range(1, nsurf + 1)]
+             + [f"c{i}" for i in range(1, len(pairs) + 1)])
+    relators = []
+    for y in range(1, len(names)):
+        back = 1 if y - 1 in flips else -1
+        relators.append(_word((y, 1), (0, 1), (y, -1), (0, back)))
+    c0 = 1 + nsurf
+    for i, p in enumerate(pairs):
+        relators.append(_word((c0 + i, p.mu), (0, p.beta)))
+    if cp.orbit == "o":
+        surface = [(1 + k + d, e) for k in range(0, nsurf, 2)
+                   for d, e in ((0, 1), (1, 1), (0, -1), (1, -1))]
+    else:
+        surface = [(1 + k, 2) for k in range(nsurf)]
+    word = _word(*surface, *((c0 + i, 1) for i in range(len(pairs))), (0, b))
+    if word:
+        relators.append(word)
     return Presentation(tuple(names), tuple(relators))

@@ -143,6 +143,23 @@ def test_budget_env_variable(capsys, monkeypatch):
     assert (rc, out) == (1, "not determined within 3000 cosets\n")
 
 
+def test_group_order_needs_no_enumeration(capsys):
+    # both orders are past the default budget; the closed form ignores it
+    for text, order in [("(O,o,0 | -2, (100000,1))", "200001\n"),
+                        ("(O,n,1 | 3, (101,1))", "122008\n")]:
+        for extra in ([], ["--max-cosets", "1"]):
+            start = time.perf_counter()
+            rc, out, _ = run(capsys, ["group", "order", text, *extra])
+            assert time.perf_counter() - start < 1
+            assert (rc, out) == (0, order)
+
+
+def test_group_order_rejects_a_zero_budget(capsys):
+    rc, out, err = run(capsys, ["group", "order", POINCARE_FAMILY,
+                                "--max-cosets", "0"])
+    assert (rc, out, err) == (3, "", "error: coset budget must be at least 1\n")
+
+
 def test_fst_commands(capsys):
     rc, out, _ = run(capsys, ["fst", "equiv", "1", "3", "2", "3"])
     assert (rc, out) == (1, "distinct\n")

@@ -2,18 +2,19 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seifert import (AbelianGroup, FuchsianSignature, IntMatrix, InternalError,
-                     InvalidIndex, LimitTooSmall, Presentation, SizeClass,
-                     ValidityError,
+from seifert import (AbelianGroup, ClassPart, CrossingPair, FuchsianSignature,
+                     IntMatrix, InternalError, InvalidIndex, LimitTooSmall,
+                     Presentation, SeifertSymbol, SizeClass, ValidityError,
                      abelianization, coset_enumerate, fuchsian_euler,
                      fuchsian_quotient, fuchsian_size_class, parse_symbol,
                      pi1_presentation, presentation_text, signature_of_symbol,
-                     triangle_info, triangle_presentation)
+                     symbols_equivalent, triangle_info, triangle_presentation)
 import presentation_oracle
 import snf_oracle
 from symbolgen import (any_symbols, bounded_symbols, closed_nonorientable_symbols,
@@ -226,15 +227,12 @@ def test_abelianization_matches_the_oracle_on_the_full_matrix(s):
         defect, tuple(d for d in factors if d > 1))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "CHANGES.md FOUND: symbol.normalize_symbol folds a closed class-N "
-    "crossing pair (mu, beta) to (mu, mu - beta) without carrying into b"))
 def test_class_n_fold_keeps_first_homology():
     # The presentation recipe of pi1_presentation, written out for the
     # unnormalized data of (N,n,I,1 | (0,0), (3,2)): generators h, x1, c1;
     # x1 and c1 commute with h in class (N,n,I); pair c1^3 h^2; long
-    # relator x1^2 c1 h^0. It abelianizes to Z + Z/2, the H1 of
-    # (N,n,I,1 | (1,0), (3,1)), while the normal form (0,0), (3,1) has Z.
+    # relator x1^2 c1 h^0. It abelianizes to Z + Z/2, the H1 of its normal
+    # form (N,n,I,1 | (1,0), (3,1)); (N,n,I,1 | (0,0), (3,1)) has Z.
     p = Presentation(("h", "x1", "c1"), (
         ((1, 1), (0, 1), (1, -1), (0, -1)),
         ((2, 1), (0, 1), (2, -1), (0, -1)),
@@ -244,6 +242,50 @@ def test_class_n_fold_keeps_first_homology():
     assert abelianization(p).describe() == "Z + Z/2"
     s = parse_symbol("(N,n,I,1 | (0,0), (3,2))")
     assert abelianization(pi1_presentation(s)) == abelianization(p)
+
+
+# every pair the parser accepts, index-1 (1,0) and index-2 (2,1) included
+raw_pairs = st.integers(1, 9).flatmap(lambda mu: st.sampled_from(
+    [CrossingPair(mu, b) for b in range(mu) if gcd(b, mu) == 1]))
+
+class_n_heads = st.one_of(
+    st.integers(1, 3).map(lambda g: ClassPart("N", "o", g)),
+    st.integers(1, 3).map(lambda g: ClassPart("N", "n", g, "I")),
+    st.integers(2, 4).map(lambda g: ClassPart("N", "n", g, "II")),
+    st.integers(3, 4).map(lambda g: ClassPart("N", "n", g, "III")))
+
+raw_class_n_symbols = st.builds(
+    lambda cp, b, s, pairs: SeifertSymbol(cp, 0, 0, (b, s), tuple(pairs)),
+    class_n_heads, st.integers(-3, 3), st.integers(0, 2),
+    st.lists(raw_pairs, max_size=4))
+
+
+def raw_h1(s):
+    return abelianization(presentation_oracle.raw_pi1_presentation(s))
+
+
+@settings(max_examples=300)
+@given(raw_class_n_symbols)
+def test_class_n_normal_form_keeps_first_homology(s):
+    assert raw_h1(s) == abelianization(pi1_presentation(s))
+
+
+@settings(max_examples=300)
+@given(raw_class_n_symbols, st.data())
+def test_class_n_equivalent_spellings_have_equal_first_homology(s, data):
+    # a respelling mirrors some pairs, moves b and trades listed (2,1)
+    # pairs for the count; only some respellings are the same space
+    b, count = s.obstruction
+    flips = data.draw(st.lists(st.booleans(), min_size=len(s.pairs),
+                               max_size=len(s.pairs)))
+    pairs = [CrossingPair(p.mu, (p.mu - p.beta) % p.mu) if flip else p
+             for p, flip in zip(s.pairs, flips)]
+    listed = [p for p in pairs if p.mu != 2]
+    moved = sum(p.mu == 2 for p in pairs)
+    b2 = b + data.draw(st.integers(-2, 2))
+    other = SeifertSymbol(s.class_part, 0, 0, (b2, count + moved), tuple(listed))
+    if symbols_equivalent(s, other):
+        assert raw_h1(s) == raw_h1(other)
 
 
 # coset enumeration

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and no
+package module guards anything with an assert, which python -O removes."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,11 @@ def test_package_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES + [Path(seifert.__file__)],
+                         ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text())
+    lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert lines == []

@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 from seifert import (ClassPart, CrossingPair, ExcludedSpace, LensParams,
                      SeifertSymbol, SizeClass, ValidityError, abelianization,
                      bounded_equivalent, classify_small, coset_enumerate,
-                     euler_sum, fuchsian_size_class, is_flat, lens_normalize,
-                     normalize_symbol, parse_symbol, pi1_presentation,
-                     predicates, signature_of_symbol, sphere_h1_order)
+                     euler_sum, fuchsian_size_class, is_flat,
+                     is_platonic_triple, lens_normalize, normalize_symbol,
+                     parse_symbol, pi1_presentation, predicates,
+                     signature_of_symbol, sphere_h1_order)
 from seifert.cli import run_cli
 from seifert.topology import _FLAT_BOUNDED_TEXT, _FLAT_CLOSED_TEXT
+from symbolgen import (any_symbols, bounded_symbols, closed_nonorientable_symbols,
+                       closed_oriented_symbols)
 
 
 def small(text):
@@ -294,6 +297,94 @@ def test_finiteness_flag_matches_enumeration():
         assert not predicates(parse_symbol(text)).pi1_finite
         res = coset_enumerate(pi1_presentation(parse_symbol(text)), 20000)
         assert res.outcome == "exceeded", text
+
+
+# the closed-form group order, against coset enumeration
+
+
+def pairs_up_to(mu_max):
+    return st.integers(1, mu_max).flatmap(lambda mu: st.sampled_from(
+        [CrossingPair(mu, b) for b in range(mu) if gcd(b, mu) == 1]))
+
+
+def closed(cp, b, pairs):
+    return normalize_symbol(SeifertSymbol(cp, 0, 0, b, tuple(pairs)))
+
+
+sphere_symbols = st.builds(
+    lambda b, pairs: closed(ClassPart("O", "o", 0), b, pairs),
+    st.integers(-3, 3), st.lists(pairs_up_to(7), max_size=3))
+projective_symbols = st.builds(
+    lambda b, pairs: closed(ClassPart("O", "n", 1), b, pairs),
+    st.integers(-3, 3), st.lists(pairs_up_to(13), max_size=1))
+# orbit genus >= 1 other than the projective plane, class N, bounded
+other_symbols = st.one_of(
+    closed_oriented_symbols.filter(lambda s: s.class_part.genus >= 1
+                                   and s.class_part != ClassPart("O", "n", 1)),
+    closed_nonorientable_symbols, bounded_symbols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(sphere_symbols, projective_symbols))
+def test_group_order_matches_enumeration(s):
+    res = classify_small(s)
+    pres = pi1_presentation(s)
+    if res is not None and res.order is not None:
+        enum = coset_enumerate(pres, 200000)
+        assert enum.is_finite and enum.order == res.order
+        return
+    if abelianization(pres).is_finite:
+        # P3#P3, or a euclidean or hyperbolic triple: the next test
+        # checks that these do not enumerate
+        if res is not None:
+            assert res.category == "P3#P3"
+        else:
+            assert len(s.pairs) == 3
+            assert not is_platonic_triple([p.mu for p in s.pairs])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(pairs_up_to(7).filter(lambda p: p.mu > 1), min_size=3,
+                max_size=3).filter(
+                    lambda ps: not is_platonic_triple([p.mu for p in ps])),
+       st.integers(-3, 3))
+def test_infinite_groups_with_finite_first_homology_do_not_enumerate(pairs, b):
+    s = closed(ClassPart("O", "o", 0), b, pairs)
+    assume(sphere_h1_order(s.obstruction, s.pairs) != 0)
+    assert classify_small(s) is None
+    assert coset_enumerate(pi1_presentation(s), 5000).outcome == "exceeded"
+
+
+@settings(max_examples=150)
+@given(other_symbols)
+def test_group_order_is_infinite_off_the_spherical_bases(s):
+    res = classify_small(s)
+    assert res is None or res.order is None
+    assert abelianization(pi1_presentation(s)).free_rank > 0
+
+
+@settings(max_examples=200)
+@given(any_symbols)
+def test_finiteness_flag_is_the_group_order(s):
+    res = classify_small(s)
+    finite = res is not None and res.order is not None
+    assert predicates(s).pi1_finite == finite
+
+
+def test_group_order_closed_forms():
+    cases = {"(O,o,0 | 1)": 1, "(O,o,0 | 0)": None,
+             "(O,o,0 | -1, (2,1), (3,1))": 11,
+             "(O,o,0 | 1, (2,1), (3,1), (5,1))": 120,
+             "(O,o,0 | -1, (2,1), (3,1), (5,1))": 7320,
+             "(O,n,1 | 0, (3,1))": 12, "(O,n,1 | 1, (3,1))": 24,
+             "(O,n,1 | 0)": None, "(N,n,I,1 | (0,0))": None,
+             "(O,o,0; m=1 | -, (3,1))": None}
+    for text, order in cases.items():
+        assert small(text).order == order, text
+    # P3#P3 has H1 = Z/2 + Z/2 and the infinite dihedral group
+    p3p3 = pi1_presentation(parse_symbol("(O,n,1 | 0)"))
+    assert abelianization(p3p3).describe() == "Z/2 + Z/2"
+    assert coset_enumerate(p3p3, 5000).outcome == "exceeded"
 
 
 # bounded homeomorphism
