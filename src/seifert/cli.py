@@ -153,7 +153,9 @@ def _parser() -> argparse.ArgumentParser:
         g = gsub.add_parser(name)
         g.add_argument("symbol")
         if name == "order":
-            g.add_argument("--max-cosets", type=int, default=None)
+            # argparse applies type=int to this string default too
+            g.add_argument("--max-cosets", type=int, default=os.environ.get(
+                "SEIFERT_MAX_COSETS", "100000"))
 
     p = sub.add_parser("fst", help="fibered-solid-torus calculators")
     fsub = p.add_subparsers(dest="fst_kind", required=True)
@@ -251,8 +253,6 @@ def _dispatch(args) -> int:
             print(abelianization(pi1_presentation(s)).describe())
             return 0
         budget = args.max_cosets
-        if budget is None:
-            budget = int(os.environ.get("SEIFERT_MAX_COSETS", "100000"))
         if budget < 1:
             raise LimitTooSmall("coset budget must be at least 1")
         small = classify_small(s)

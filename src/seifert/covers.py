@@ -33,8 +33,8 @@ def euler_sum(s: SeifertSymbol) -> EulerSum:
 
     Negates under orientation reversal and multiplies by the sheet
     count under fiberless covers. Raises NotClosedOriented otherwise.
+    Needs no normal form: index-1 pairs are (1,0) and order is free.
     """
-    s = normalize_symbol(s)
     if not s.is_closed or s.class_part.total != "O":
         raise NotClosedOriented("euler sum needs a closed symbol of class O")
     total = Fraction(s.obstruction)
@@ -141,8 +141,7 @@ def fiberless_cover(s: SeifertSymbol, sheets: int) -> FiberlessCover:
                 f"cover orbit characteristic {chi} is odd; no orientable "
                 f"orbit surface at {sheets} sheets")
         genus = 1 - chi // 2
-        cover = normalize_symbol(SeifertSymbol(
-            ClassPart("O", "o", genus), 0, 0, b, ()))
+        cover = SeifertSymbol(ClassPart("O", "o", genus), 0, 0, b, ())
         return FiberlessCover(cover, b, chi, True)
     return FiberlessCover(None, b, chi, False)
 

@@ -24,7 +24,7 @@ symbols carry "-".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import gcd
 
 from .errors import InvalidSurface, ModeError, NotOriented, ParseError, \
@@ -100,6 +100,8 @@ class SeifertSymbol:
     closed, class N: obstruction is (b, s), b in {0,1}, s >= 0 counting
         index-2 fibers, with b = 0 whenever s > 0 in normal form;
     bounded: obstruction is None.
+    _normal marks a normal form built by normalize_symbol; it takes no
+    part in ==, hash or repr, and the constructor and replace clear it.
     """
 
     class_part: ClassPart
@@ -107,6 +109,8 @@ class SeifertSymbol:
     boundary_klein: int
     obstruction: object
     pairs: tuple
+    _normal: bool = field(default=False, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.boundary_tori < 0 or self.boundary_klein < 0:
@@ -358,26 +362,24 @@ def normalize_symbol(s: SeifertSymbol) -> SeifertSymbol:
     (mu, mu - beta) plus the index-1 pair (1, -1)), move index-2 pairs
     into the count s, reduce b modulo 2 and zero it when s > 0. Bounded
     symbols keep beta modulo mu (class O) or folded (class N) with no
-    obstruction. Listed pairs end up sorted by (mu, beta).
+    obstruction. Listed pairs end up sorted by (mu, beta). Returns its
+    argument when that is already a normal form built (and marked) here.
     """
+    if s._normal:
+        return s
     cp = s.class_part
     fold = cp.total == "N"
-    b = 0
-    s_count = 0
+    b, s_count = 0, 0
     if s.is_closed:
-        if cp.total == "O":
-            b = s.obstruction
-        else:
-            b, s_count = s.obstruction
+        b, s_count = s.obstruction if fold else (s.obstruction, 0)
     pairs = []
     for p in s.pairs:
         mu, beta = p.mu, p.beta
+        if mu == 1:
+            continue  # (1,0) is an ordinary fiber
         if fold and 2 * beta > mu:
             beta = mu - beta
             b += 1
-        if mu == 1:
-            b += p.beta  # an integer fiber twist is pure obstruction
-            continue
         if fold and mu == 2 and s.is_closed:
             s_count += 1
             continue
@@ -388,12 +390,11 @@ def normalize_symbol(s: SeifertSymbol) -> SeifertSymbol:
     elif cp.total == "O":
         obstruction = b
     else:
-        bb = b % 2
-        if s_count > 0:
-            bb = 0
-        obstruction = (bb, s_count)
-    return SeifertSymbol(cp, s.boundary_tori, s.boundary_klein, obstruction,
-                         tuple(pairs))
+        obstruction = (0 if s_count else b % 2, s_count)
+    ns = SeifertSymbol(cp, s.boundary_tori, s.boundary_klein, obstruction,
+                       tuple(pairs))
+    object.__setattr__(ns, "_normal", True)
+    return ns
 
 
 def reverse_orientation(s: SeifertSymbol) -> SeifertSymbol:
@@ -407,13 +408,9 @@ def reverse_orientation(s: SeifertSymbol) -> SeifertSymbol:
     if s.class_part.total != "O":
         raise NotOriented("non-orientable spaces carry no orientation")
     s = normalize_symbol(s)
-    new_pairs = tuple(CrossingPair(p.mu, (p.mu - p.beta) % p.mu)
-                      for p in s.pairs)
-    if s.is_bounded:
-        return normalize_symbol(replace(s, pairs=new_pairs))
-    n = len(s.pairs)
-    return normalize_symbol(replace(s, obstruction=-n - s.obstruction,
-                                    pairs=new_pairs))
+    pairs = tuple(CrossingPair(p.mu, p.mu - p.beta) for p in s.pairs)
+    b = None if s.is_bounded else -len(pairs) - s.obstruction
+    return normalize_symbol(replace(s, obstruction=b, pairs=pairs))
 
 
 class EquivalenceMode:

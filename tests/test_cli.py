@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +142,21 @@ def test_budget_env_variable(capsys, monkeypatch):
     rc, out, _ = run(capsys, ["group", "order", HYPERBOLIC,
                               "--max-cosets", "3000"])
     assert (rc, out) == (1, "not determined within 3000 cosets\n")
+
+
+@pytest.mark.parametrize("value", ["abc", ""])
+def test_invalid_budget_env_variable_is_an_input_error(value):
+    argv = [sys.executable, "-m", "seifert", "group", "order", HYPERBOLIC]
+    env = dict(os.environ, SEIFERT_MAX_COSETS=value)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert repr(value) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    # the flag wins, so the variable is not read at all
+    proc = subprocess.run(argv + ["--max-cosets", "3000"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (
+        1, "not determined within 3000 cosets\n")
 
 
 def test_group_order_needs_no_enumeration(capsys):
@@ -323,3 +339,18 @@ def test_report_json_is_hash_seed_independent():
         assert proc.returncode == 0
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def test_report_stdin_matches_the_pinned_golden_output():
+    data = Path(__file__).parent / "data"
+    with open(data / "golden_symbols.txt", "rb") as corpus:
+        proc = subprocess.run(
+            [sys.executable, "-m", "seifert", "report", "--stdin"],
+            stdin=corpus, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    got = proc.stdout.decode().splitlines()
+    want = (data / "golden_report.jsonl").read_text().splitlines()
+    for number, (line, pinned) in enumerate(zip(got, want), 1):
+        assert line == pinned, f"first difference on output line {number}"
+    assert len(got) == len(want)
+    assert proc.stdout == (data / "golden_report.jsonl").read_bytes()
