@@ -356,7 +356,7 @@ def render_symbol(s: SeifertSymbol) -> str:
 def normalize_symbol(s: SeifertSymbol) -> SeifertSymbol:
     """Put a symbol into its unique normal form.
 
-    Ordinary (index 1) pairs dissolve into the obstruction. Closed class-N
+    Ordinary (index 1) pairs, always (1,0), drop out. Closed class-N
     symbols fold every beta into [0, mu/2], each fold adding one to b (a
     fiber-reversing loop turns (mu, beta) into (mu, -beta), which is
     (mu, mu - beta) plus the index-1 pair (1, -1)), move index-2 pairs
