@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seifert import (BoundaryClass, CrossingPair, FiberedSolidTorus, HomeoMode,
-                     ReducedFraction, ZeroDenominator, crossing_invariants,
-                     fold_crossing, fst_equivalent, fst_normalize, lift_curve,
-                     lift_fiber, meridian_from_crossing)
+                     ReducedFraction, ValidityError, ZeroDenominator,
+                     crossing_invariants, fold_crossing, fst_equivalent,
+                     fst_normalize, lift_curve, lift_fiber,
+                     meridian_from_crossing)
 
 
 def reduced_fractions(mu_max=30):
@@ -102,6 +103,15 @@ def test_crossing_examples():
     assert crossing_invariants(fst_normalize(0, 1, True)) == CrossingPair(1, 0)
 
 
+def test_crossing_pair_validation():
+    assert (CrossingPair(1, 0).mu, CrossingPair(1, 0).beta) == (1, 0)
+    with pytest.raises(ValidityError, match=r"^\(2,0\) not coprime$"):
+        CrossingPair(2, 0)
+    with pytest.raises(ValidityError,
+                       match="^crossing number 3 out of range for index 3$"):
+        CrossingPair(3, 3)
+
+
 @given(reduced_fractions())
 def test_crossing_is_the_modular_inverse(f):
     p = crossing_invariants(FiberedSolidTorus(f, True))
@@ -157,6 +167,9 @@ def test_lift_curve_examples():
     assert lift_curve(2, BoundaryClass(1, -2)) == (2, BoundaryClass(1, -1))
     assert lift_curve(1, BoundaryClass(4, -7)) == (1, BoundaryClass(4, -7))
     assert lift_curve(6, BoundaryClass(1, -4)) == (2, BoundaryClass(3, -2))
+    # a curve that never crosses the unwound direction lifts to sigma copies
+    assert lift_curve(3, BoundaryClass(2, 0)) == (3, BoundaryClass(2, 0))
+    assert lift_curve(1, BoundaryClass(-1, 0)) == (1, BoundaryClass(-1, 0))
 
 
 @given(st.integers(1, 30), st.integers(-12, 12), st.integers(-12, 12))

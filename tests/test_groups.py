@@ -129,12 +129,77 @@ def test_pi1_bounded_symbol_has_free_boundary_generators():
     assert len(p.relators) == 3
 
 
-def test_pi1_conjugation_signs_follow_the_class():
-    p = pi1_presentation(parse_symbol("(N,o,1 | (0,0))"))
-    assert p.generators == ("h", "a1", "b1")
+# Every non-fiber generator y gives the relator y h y^-1 h^-1 when it
+# preserves the fiber and y h y^-1 h when it reverses it: the first k
+# orbit-surface generators reverse (k = 0 for (O,o), 1 for (N,o), all
+# crosscaps for (O,n), 0/1/2 for (N,n,I/II/III)), and so does every
+# Klein-bottle boundary generator d.
+PI1_BY_CLASS = [
+    ("(O,o,1 | 2, (3,1))",
+     "< h, a1, b1, c1 | a1 h a1^-1 h^-1, b1 h b1^-1 h^-1, c1 h c1^-1 h^-1,"
+     " c1^3 h, a1 b1 a1^-1 b1^-1 c1 h^2 >"),
+    ("(O,o,0; m=1 | -, (2,1))",
+     "< h, c1, d1 | c1 h c1^-1 h^-1, d1 h d1^-1 h^-1, c1^2 h >"),
+    ("(O,n,2 | 1, (2,1))",
+     "< h, x1, x2, c1 | x1 h x1^-1 h, x2 h x2^-1 h, c1 h c1^-1 h^-1,"
+     " c1^2 h, x1^2 x2^2 c1 h >"),
+    ("(O,n,2; m=1 | -, (3,1))",
+     "< h, x1, x2, c1, d1 | x1 h x1^-1 h, x2 h x2^-1 h, c1 h c1^-1 h^-1,"
+     " d1 h d1^-1 h^-1, c1^3 h >"),
     # the first handle loop reverses the fiber, its partner preserves it
-    assert ((1, 1), (0, 1), (1, -1), (0, 1)) in p.relators
-    assert ((2, 1), (0, 1), (2, -1), (0, -1)) in p.relators
+    ("(N,o,1 | (0,0))",
+     "< h, a1, b1 | a1 h a1^-1 h, b1 h b1^-1 h^-1, a1 b1 a1^-1 b1^-1 >"),
+    ("(N,o,1; m=1 | -, (3,1))",
+     "< h, a1, b1, c1, d1 | a1 h a1^-1 h, b1 h b1^-1 h^-1, c1 h c1^-1 h^-1,"
+     " d1 h d1^-1 h^-1, c1^3 h >"),
+    ("(N,o,1; m=0, kb=2 | -)",
+     "< h, a1, b1, d1, d2 | a1 h a1^-1 h, b1 h b1^-1 h^-1, d1 h d1^-1 h,"
+     " d2 h d2^-1 h >"),
+    ("(N,o,0; m=1, kb=2 | -, (2,1))",
+     "< h, c1, d1, d2, d3 | c1 h c1^-1 h^-1, d1 h d1^-1 h^-1, d2 h d2^-1 h,"
+     " d3 h d3^-1 h, c1^2 h >"),
+    ("(N,n,I,1 | (1,0))",
+     "< h, x1 | x1 h x1^-1 h^-1, x1^2 h >"),
+    ("(N,n,I,1; m=1 | -)",
+     "< h, x1, d1 | x1 h x1^-1 h^-1, d1 h d1^-1 h^-1 >"),
+    ("(N,n,I,1; m=0, kb=2 | -)",
+     "< h, x1, d1, d2 | x1 h x1^-1 h^-1, d1 h d1^-1 h, d2 h d2^-1 h >"),
+    # the index-2 count s = 1 is written out as the pair c1 = (2,1)
+    ("(N,n,II,2 | (0,1))",
+     "< h, x1, x2, c1 | x1 h x1^-1 h, x2 h x2^-1 h^-1, c1 h c1^-1 h^-1,"
+     " c1^2 h, x1^2 x2^2 c1 >"),
+    ("(N,n,II,2; m=1 | -, (3,1))",
+     "< h, x1, x2, c1, d1 | x1 h x1^-1 h, x2 h x2^-1 h^-1, c1 h c1^-1 h^-1,"
+     " d1 h d1^-1 h^-1, c1^3 h >"),
+    ("(N,n,II,2; m=0, kb=2 | -)",
+     "< h, x1, x2, d1, d2 | x1 h x1^-1 h, x2 h x2^-1 h^-1, d1 h d1^-1 h,"
+     " d2 h d2^-1 h >"),
+    ("(N,n,III,3 | (1,0))",
+     "< h, x1, x2, x3 | x1 h x1^-1 h, x2 h x2^-1 h, x3 h x3^-1 h^-1,"
+     " x1^2 x2^2 x3^2 h >"),
+    ("(N,n,III,3; m=1 | -)",
+     "< h, x1, x2, x3, d1 | x1 h x1^-1 h, x2 h x2^-1 h, x3 h x3^-1 h^-1,"
+     " d1 h d1^-1 h^-1 >"),
+    ("(N,n,III,3; m=1, kb=2 | -, (3,2))",
+     "< h, x1, x2, x3, c1, d1, d2, d3 | x1 h x1^-1 h, x2 h x2^-1 h,"
+     " x3 h x3^-1 h^-1, c1 h c1^-1 h^-1, d1 h d1^-1 h^-1, d2 h d2^-1 h,"
+     " d3 h d3^-1 h, c1^3 h >"),
+]
+
+
+@pytest.mark.parametrize("text, expected", PI1_BY_CLASS,
+                         ids=[t for t, _ in PI1_BY_CLASS])
+def test_pi1_conjugation_signs_follow_the_class(text, expected):
+    p = pi1_presentation(parse_symbol(text))
+    assert presentation_text(p) == expected
+    # relator y - 1 conjugates h by generator y, in generator order
+    for y in range(1, len(p.generators)):
+        assert p.relators[y - 1] in (((y, 1), (0, 1), (y, -1), (0, -1)),
+                                     ((y, 1), (0, 1), (y, -1), (0, 1)))
+    if text == "(N,o,1 | (0,0))":
+        assert p.generators == ("h", "a1", "b1")
+        assert ((1, 1), (0, 1), (1, -1), (0, 1)) in p.relators
+        assert ((2, 1), (0, 1), (2, -1), (0, -1)) in p.relators
 
 
 def test_fuchsian_triangle_quotient():

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from lens_oracle import _candidate_bs, _search_witness
 from seifert import (BadDeterminant, ClassPart, CrossingPair, GluingMatrix,
                      LensParams, NotCoprime, ReducedFraction, SeifertSymbol,
-                     WrongBase, abelianization, crossing_invariants,
-                     fibering_transform, is_platonic_triple, lens_equivalent,
-                     lens_normalize, normalize_symbol, parse_symbol,
-                     pi1_presentation, recognize_S2_symbol, sphere_h1_order)
+                     ValidityError, WrongBase, abelianization,
+                     crossing_invariants, fibering_transform,
+                     is_platonic_triple, lens_equivalent, lens_normalize,
+                     normalize_symbol, parse_symbol, pi1_presentation,
+                     recognize_S2_symbol, sphere_h1_order)
 from seifert.lens import _sewing_q
 
 _S2 = ClassPart("O", "o", 0)
@@ -112,6 +113,8 @@ def test_normalize_degenerate_orders():
     assert lens_normalize(0, 1) == LensParams(0, 0)
     assert lens_normalize(1, 0) == LensParams(1, 0)
     assert lens_normalize(1, 5) == LensParams(1, 0)
+    with pytest.raises(ValidityError, match="^lens p must be >= 0, got -3$"):
+        lens_normalize(-3, 1)
 
 
 def test_normalize_negative_q():
