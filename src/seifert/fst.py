@@ -50,12 +50,11 @@ class CrossingPair:
     def __post_init__(self):
         if self.mu < 1:
             raise ValidityError(f"fiber index must be >= 1, got {self.mu}")
-        if not 0 <= self.beta < max(self.mu, 1):
-            if not (self.mu == 1 and self.beta == 0):
-                raise ValidityError(
-                    f"crossing number {self.beta} out of range for index {self.mu}"
-                )
-        if gcd(self.mu, self.beta) != 1 and not (self.mu == 1 and self.beta == 0):
+        if not 0 <= self.beta < self.mu:
+            raise ValidityError(
+                f"crossing number {self.beta} out of range for index {self.mu}"
+            )
+        if gcd(self.mu, self.beta) != 1:
             raise ValidityError(f"({self.mu},{self.beta}) not coprime")
 
 
@@ -153,5 +152,5 @@ def lift_curve(sigma: int, j: BoundaryClass):
         raise ValidityError("null class is not a curve")
     alpha = j.a
     beta = -j.b
-    g = gcd(sigma, abs(beta)) if beta != 0 else sigma
-    return g, BoundaryClass(alpha * sigma // g, -(beta // g) if beta else 0)
+    g = gcd(sigma, beta)
+    return g, BoundaryClass(alpha * sigma // g, -(beta // g))

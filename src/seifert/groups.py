@@ -122,50 +122,6 @@ class AbelianGroup:
 # Presentations of the fibered space and its quotient
 
 
-def _generator_layout(s: SeifertSymbol):
-    cp = s.class_part
-    names = ["h"]
-    surface = []
-    if cp.orbit == "o":
-        for i in range(1, cp.genus + 1):
-            surface.append(f"a{i}")
-            surface.append(f"b{i}")
-    else:
-        for i in range(1, cp.genus + 1):
-            surface.append(f"x{i}")
-    names.extend(surface)
-    pairs = s.expanded_pairs()
-    c_start = len(names)
-    names.extend(f"c{i}" for i in range(1, len(pairs) + 1))
-    d_start = len(names)
-    m = s.boundary_tori + s.boundary_klein
-    names.extend(f"d{i}" for i in range(1, m + 1))
-    return names, pairs, c_start, d_start
-
-
-def _phi_on_surface(cp) -> dict:
-    """Fiber-orientation sign of each orbit-surface generator by position."""
-    signs = {}
-    if cp.orbit == "o":
-        for i in range(cp.genus):
-            signs[2 * i] = 1     # a_{i+1}
-            signs[2 * i + 1] = 1  # b_{i+1}
-        if cp.total == "N":
-            signs[0] = -1        # the onto class flips a1
-    else:
-        for i in range(cp.genus):
-            signs[i] = 1
-        if cp.subtype is None:           # orientation class (O,n)
-            for i in range(cp.genus):
-                signs[i] = -1
-        elif cp.subtype == "II":
-            signs[0] = -1
-        elif cp.subtype == "III":
-            signs[0] = -1
-            signs[1] = -1
-    return signs
-
-
 def pi1_presentation(s: SeifertSymbol) -> Presentation:
     """Fundamental group presentation of the fibered space.
 
@@ -173,46 +129,40 @@ def pi1_presentation(s: SeifertSymbol) -> Presentation:
     c per exceptional fiber in sorted pair order (the index-2 count of a
     non-orientable symbol is written out as (2,1) pairs), one d per
     boundary component, torus boundaries first. Every non-fiber generator
-    y conjugates h to h or h^-1 according to whether fiber orientation
-    survives along y; each pair gives c^mu h^beta; closed symbols add the
-    single long relator ending in h^b.
+    y gives the relator y h y^-1 h^-1 when it preserves the fiber
+    orientation and y h y^-1 h when it reverses it. The first k
+    orbit-surface generators reverse it, with k = 0 for (O,o), 1 for
+    (N,o) of genus >= 1, every crosscap for (O,n) and 0, 1, 2 for
+    (N,n,I), (N,n,II), (N,n,III); so does every Klein-bottle boundary
+    generator; all others preserve it. Then each pair gives c^mu h^beta,
+    and closed symbols add the single long relator ending in h^b.
     """
     s = normalize_symbol(s)
     cp = s.class_part
-    names, pairs, c_start, d_start = _generator_layout(s)
-    h = 0
-    signs = _phi_on_surface(cp)
-    relators = []
-    # surface generators conjugate h
-    base = 1
-    nsurf = 2 * cp.genus if cp.orbit == "o" else cp.genus
-    for k in range(nsurf):
-        y = base + k
-        relators.append(_word((y, 1), (h, 1), (y, -1), (h, -signs[k])))
-    for i in range(len(pairs)):
-        y = c_start + i
-        relators.append(_word((y, 1), (h, 1), (y, -1), (h, -1)))
-    for j in range(s.boundary_tori + s.boundary_klein):
-        y = d_start + j
-        sign = 1 if j < s.boundary_tori else -1
-        relators.append(_word((y, 1), (h, 1), (y, -1), (h, -sign)))
-    for i, p in enumerate(pairs):
-        relators.append(_word((c_start + i, p.mu), (h, p.beta)))
+    pairs = s.expanded_pairs()
+    if cp.orbit == "o":
+        surface = [f"{x}{i}" for i in range(1, cp.genus + 1) for x in "ab"]
+        k = 1 if cp.total == "N" and cp.genus else 0
+    else:
+        surface = [f"x{i}" for i in range(1, cp.genus + 1)]
+        k = {None: cp.genus, "I": 0, "II": 1, "III": 2}[cp.subtype]
+    # h is generator 0, so the surface generators are 1 .. k .. c0 - 1
+    c0 = 1 + len(surface)
+    klein0 = c0 + len(pairs) + s.boundary_tori
+    boundary = s.boundary_tori + s.boundary_klein
+    names = (["h"] + surface + [f"c{i}" for i in range(1, len(pairs) + 1)]
+             + [f"d{j}" for j in range(1, boundary + 1)])
+    relators = [((y, 1), (0, 1), (y, -1), (0, 1 if y <= k or y >= klein0 else -1))
+                for y in range(1, len(names))]
+    relators += [_word((c0 + i, p.mu), (0, p.beta)) for i, p in enumerate(pairs)]
     if s.is_closed:
-        long_rel = []
         if cp.orbit == "o":
-            for i in range(cp.genus):
-                a = base + 2 * i
-                bgen = base + 2 * i + 1
-                long_rel += [(a, 1), (bgen, 1), (a, -1), (bgen, -1)]
+            long_rel = [(y + d, e) for y in range(1, c0, 2)
+                        for d, e in ((0, 1), (1, 1), (0, -1), (1, -1))]
         else:
-            for i in range(cp.genus):
-                long_rel.append((base + i, 2))
-        for i in range(len(pairs)):
-            long_rel.append((c_start + i, 1))
+            long_rel = [(y, 2) for y in range(1, c0)]
         b = s.obstruction if cp.total == "O" else s.obstruction[0]
-        long_rel.append((h, b))
-        w = _word(*long_rel)
+        w = _word(*long_rel, *((c0 + i, 1) for i in range(len(pairs))), (0, b))
         if w:
             relators.append(w)
     return Presentation(tuple(names), tuple(relators))

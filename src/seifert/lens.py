@@ -48,8 +48,6 @@ def lens_normalize(p: int, q: int) -> LensParams:
     p of 0 or 1 collapses to (0,0) = S2xS1 and (1,0) = S3 regardless
     of q. Raises NotCoprime when p >= 2 and gcd(p, q) != 1.
     """
-    if p < 0:
-        raise ValidityError(f"lens p must be >= 0, got {p}")
     if p <= 1:
         return LensParams(p, 0)
     if gcd(p, q) != 1:

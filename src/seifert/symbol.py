@@ -164,10 +164,6 @@ class SeifertSymbol:
         return tuple(sorted([CrossingPair(2, 1)] * extra + list(self.pairs),
                             key=lambda p: (p.mu, p.beta)))
 
-    def orbit_surface(self) -> SurfaceSpec:
-        return SurfaceSpec(self.class_part.orbit == "o", self.class_part.genus,
-                           self.boundary_tori + self.boundary_klein)
-
     def orbit_chi(self) -> int:
         g = self.class_part.genus
         m = self.boundary_tori + self.boundary_klein

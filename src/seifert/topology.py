@@ -67,13 +67,13 @@ def classify_small(s: SeifertSymbol):
     exceptional fiber). Closed sphere orbits go through lens-space
     recognition and the platonic triple test. Projective-plane orbits
     with at most one exceptional fiber (mu, beta) are named by closed
-    forms in t = b mu - beta (Orlik, Seifert Manifolds, 1972).
-    Non-orientable total spaces have first homology Z + Z/gcd(2, t):
-    P2xS1 when t is even, the twisted S2 bundle over S1 when it is odd.
-    Orientable ones are P3#P3 at t = 0; otherwise the group has order
-    4 mu |t| and its first homology order 4 mu, cyclic exactly when t
-    is odd, so the space is the lens space L(4n,2n-1) when |t| = 1 and
-    a platonic prism space otherwise.
+    forms in t = |b mu - beta|, the sphere_h1_order of the same data
+    (Orlik, Seifert Manifolds, 1972). Non-orientable total spaces have
+    first homology Z + Z/gcd(2, t): P2xS1 when t is even, the twisted S2
+    bundle over S1 when it is odd. Orientable ones are P3#P3 at t = 0;
+    otherwise the group has order 4 mu t and its first homology order
+    4 mu, cyclic exactly when t is odd, so the space is the lens space
+    L(4n,2n-1) when t = 1 and a platonic prism space otherwise.
     """
     s = normalize_symbol(s)
     cp = s.class_part
@@ -96,15 +96,15 @@ def classify_small(s: SeifertSymbol):
         # a missing fiber reads as (1,0), the index-2 count as (2,1)
         (f,) = s.expanded_pairs() or (CrossingPair(1, 0),)
         b = s.obstruction if cp.total == "O" else s.obstruction[0]
-        t = b * f.mu - f.beta
+        t = sphere_h1_order(b, (f,))
         if cp == _P2_N:
             if t % 2 == 0:
                 return SmallResult("P2xS1", "P2xS1")
             return SmallResult("twisted-S2-bundle", "twisted S2 bundle over S1")
         if t == 0:
             return SmallResult("P3#P3", "P3#P3")
-        n = 4 * f.mu * abs(t)
-        if abs(t) == 1:
+        n = 4 * f.mu * t
+        if t == 1:
             # the group order 4 mu is |H1|, so the group is cyclic
             return SmallResult("lens", f"L({n},{n // 2 - 1})",
                                lens=lens_normalize(n, n // 2 - 1), order=n)
