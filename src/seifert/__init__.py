@@ -7,6 +7,7 @@ lens-space recognition, topological predicates and cover
 constructions. The console script `seifert` exposes each operation.
 """
 
+from ._record import replace
 from .arith import IntMatrix, ReducedFraction, reduce_mod1, smith_normal_form
 from .covers import (EulerSum, FiberlessCover, euler_sum, fiberless_cover,
                      orientable_double_cover, suggest_cover_sheets)

@@ -12,13 +12,13 @@ Cohen, GTM 138, 2.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._record import record
 from .errors import ValidityError, ZeroDenominator
 
 
-@dataclass(frozen=True)
+@record
 class ReducedFraction:
     """A fraction num/den with gcd(num, den) = 1 and den >= 1."""
 
@@ -50,7 +50,7 @@ def reduce_mod1(num: int, den: int) -> ReducedFraction:
     return ReducedFraction(num // g, den // g)
 
 
-@dataclass(frozen=True)
+@record
 class IntMatrix:
     """An integer matrix stored row-major as a flat tuple."""
 

@@ -9,10 +9,10 @@ be chained with everything else in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from ._record import record
 from .errors import (AlreadyOrientable, IndexNotDivisible, InternalError,
                      NotClosed, NotClosedOriented, OddEulerCharacteristic,
                      QuotientFinite, ValidityError)
@@ -21,7 +21,7 @@ from .groups import (SizeClass, fuchsian_euler, fuchsian_size_class,
 from .symbol import ClassPart, CrossingPair, SeifertSymbol, normalize_symbol
 
 
-@dataclass(frozen=True)
+@record
 class EulerSum:
     """Exact value of b + sum(beta_i/mu_i)."""
 
@@ -79,7 +79,7 @@ def orientable_double_cover(s: SeifertSymbol) -> SeifertSymbol:
     return normalize_symbol(cover)
 
 
-@dataclass(frozen=True)
+@record
 class FiberlessCover:
     """A finite cover with no exceptional fibers.
 

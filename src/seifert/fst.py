@@ -12,10 +12,10 @@ crossing curve, with nu*beta = 1 (mod mu).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
+from ._record import record
 from .arith import ReducedFraction, reduce_mod1
 from .errors import ValidityError
 
@@ -28,7 +28,7 @@ class HomeoMode(Enum):
     ANY = "any"
 
 
-@dataclass(frozen=True)
+@record
 class FiberedSolidTorus:
     """A fibered solid torus with its winding invariant.
 
@@ -40,7 +40,7 @@ class FiberedSolidTorus:
     oriented: bool
 
 
-@dataclass(frozen=True)
+@record
 class CrossingPair:
     """Meridian crossing data (mu, beta) with nu*beta = 1 (mod mu)."""
 
@@ -58,7 +58,7 @@ class CrossingPair:
             raise ValidityError(f"({self.mu},{self.beta}) not coprime")
 
 
-@dataclass(frozen=True)
+@record
 class BoundaryClass:
     """An isotopy class a*m + b*l on a boundary torus, in a fixed basis."""
 

@@ -12,18 +12,18 @@ order of topology.classify_small; the command line does not run it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
 
+from ._record import record
 from .arith import IntMatrix, smith_normal_form
 from .errors import (InternalError, InvalidIndex, InvalidSurface, LimitTooSmall,
                      ValidityError)
 from .symbol import SeifertSymbol, normalize_symbol
 
 
-@dataclass(frozen=True)
+@record
 class Presentation:
     """A finite presentation.
 
@@ -35,10 +35,11 @@ class Presentation:
     relators: tuple
 
     def __post_init__(self):
+        n = len(self.generators)
         for word in self.relators:
             prev = None
             for g, e in word:
-                if not 0 <= g < len(self.generators):
+                if not 0 <= g < n:
                     raise ValidityError(f"generator index {g} out of range")
                 if e == 0:
                     raise ValidityError("zero exponent syllable")
@@ -75,12 +76,15 @@ def presentation_text(p: Presentation) -> str:
     return f"< {gens} | {rels} >"
 
 
-@dataclass(frozen=True)
+@record
 class AbelianGroup:
-    """Finitely generated abelian group: free rank plus torsion chain."""
+    """Finitely generated abelian group: free rank plus torsion chain.
+
+    torsion holds the invariant factors, each > 1 and dividing the next.
+    """
 
     free_rank: int
-    torsion: tuple  # invariant factors > 1, each dividing the next
+    torsion: tuple
 
     def __post_init__(self):
         if self.free_rank < 0:
@@ -213,7 +217,7 @@ def abelianization(p: Presentation) -> AbelianGroup:
 # Coset enumeration
 
 
-@dataclass(frozen=True)
+@record
 class EnumerationResult:
     """Outcome of a coset enumeration over the trivial subgroup.
 
@@ -356,12 +360,15 @@ def coset_enumerate(p: Presentation, max_cosets: int = 100000) -> EnumerationRes
 # Triangle groups
 
 
-@dataclass(frozen=True)
+@record
 class TriangleInfo:
-    """Geometry and size of the (p,q,r) triangle-rotation group."""
+    """Geometry and size of the (p,q,r) triangle-rotation group.
+
+    geometry is "spherical", "euclidean" or "hyperbolic".
+    """
 
     indices: tuple
-    geometry: str  # "spherical" | "euclidean" | "hyperbolic"
+    geometry: str
     finite: bool
     order: int | None
 
@@ -403,7 +410,7 @@ def triangle_presentation(p: int, q: int, r: int) -> Presentation:
 # Fuchsian signatures
 
 
-@dataclass(frozen=True)
+@record
 class FuchsianSignature:
     """Signature of a 2-orbifold group: surface plus cone degrees.
 

@@ -12,16 +12,16 @@ Seifert Manifolds, 1983).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._record import record
 from .arith import ReducedFraction
 from .errors import BadDeterminant, NotCoprime, ValidityError, WrongBase
 from .fst import fst_normalize
 from .symbol import ClassPart, SeifertSymbol, normalize_symbol
 
 
-@dataclass(frozen=True)
+@record
 class LensParams:
     """Parameters (p, q) of a lens space; p = 0 is S2xS1 and p = 1 is S3."""
 
@@ -62,7 +62,7 @@ def lens_equivalent(a: LensParams, b: LensParams) -> bool:
     return lens_normalize(a.p, a.q) == lens_normalize(b.p, b.q)
 
 
-@dataclass(frozen=True)
+@record
 class GluingMatrix:
     """Sewing matrix (q r; p s) with determinant +-1."""
 
@@ -106,7 +106,7 @@ def is_platonic_triple(degrees) -> bool:
     return (a, b) == (2, 2) or (a, b, c) in _EXTRA_PLATONIC
 
 
-@dataclass(frozen=True)
+@record
 class Recognition:
     """Outcome of recognizing a closed symbol over the sphere.
 

@@ -15,6 +15,8 @@ Text form, whitespace ignored:
     tail        := obstruction {"," pair}*
     obstruction := SIGNED_INT | "(" SIGNED_INT "," INT ")" | "-"
     pair        := "(" INT "," INT ")"
+    INT         := one or more ASCII digits 0-9
+    SIGNED_INT  := ["+" | "-"] INT
 
 Closed symbols of class O carry a plain integer obstruction b; closed class
 N symbols carry (b, s) where b is 0 or 1 and s counts index-2 exceptional
@@ -24,9 +26,9 @@ symbols carry "-".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from math import gcd
 
+from ._record import record, replace
 from .errors import InvalidSurface, ModeError, NotOriented, ParseError, \
     ValidityError
 from .fst import CrossingPair
@@ -34,7 +36,7 @@ from .fst import CrossingPair
 _CLASS_HEADS = ("O,o,", "O,n,", "N,o,", "N,n,I,", "N,n,II,", "N,n,III,")
 
 
-@dataclass(frozen=True)
+@record
 class ClassPart:
     """Class data: total space, orbit surface, subtype, genus.
 
@@ -77,7 +79,7 @@ class ClassPart:
         return f"{self.total},{self.orbit},{self.subtype},{self.genus}"
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceSpec:
     """A compact surface: orientability, genus or crosscaps, boundary count."""
 
@@ -92,7 +94,7 @@ class SurfaceSpec:
             raise InvalidSurface("non-orientable surface needs >= 1 crosscap")
 
 
-@dataclass(frozen=True)
+@record
 class SeifertSymbol:
     """A Seifert symbol. Obstruction semantics depend on the class:
 
@@ -100,8 +102,9 @@ class SeifertSymbol:
     closed, class N: obstruction is (b, s), b in {0,1}, s >= 0 counting
         index-2 fibers, with b = 0 whenever s > 0 in normal form;
     bounded: obstruction is None.
-    _normal marks a normal form built by normalize_symbol; it takes no
-    part in ==, hash or repr, and the constructor and replace clear it.
+    _normal marks a normal form built by normalize_symbol. It is an
+    instance attribute, not a field, so it takes no part in ==, hash or
+    repr, and every new value (the constructor, replace) starts unmarked.
     """
 
     class_part: ClassPart
@@ -109,8 +112,7 @@ class SeifertSymbol:
     boundary_klein: int
     obstruction: object
     pairs: tuple
-    _normal: bool = field(default=False, init=False, repr=False,
-                          compare=False)
+    _normal = False
 
     def __post_init__(self):
         if self.boundary_tori < 0 or self.boundary_klein < 0:
@@ -210,11 +212,15 @@ class _Scanner:
         if signed and self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == digits:
             raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            raise ParseError(f"integer of {self.pos - digits} digits is too "
+                             f"long to convert", start) from None
 
     def take_word(self, words, what):
         self._skip_ws()
@@ -443,7 +449,7 @@ def symbols_equivalent(s1: SeifertSymbol, s2: SeifertSymbol,
 # Classifying homomorphisms
 
 
-@dataclass(frozen=True)
+@record
 class ClassInfo:
     """One equivalence class of fiber-orientation behavior over a surface."""
 

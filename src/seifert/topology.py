@@ -11,8 +11,7 @@ exactly three exceptional fibers, is decided by the first homology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import ExcludedSpace, ValidityError
 from .fst import CrossingPair
 from .lens import _S2, lens_normalize, recognize_S2_symbol, sphere_h1_order
@@ -23,7 +22,7 @@ _P2_N = ClassPart("N", "n", 1, "I")
 _P2_O = ClassPart("O", "n", 1)
 
 
-@dataclass(frozen=True)
+@record
 class SmallResult:
     """A recognized small space: category key plus display name.
 
@@ -150,7 +149,7 @@ def is_flat(s: SeifertSymbol) -> bool:
     return normalize_symbol(s) in _FLAT
 
 
-@dataclass(frozen=True)
+@record
 class PredicateReport:
     small: str | None
     flat: bool

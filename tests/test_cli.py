@@ -193,6 +193,38 @@ def test_parse_error_exit_code(capsys):
     assert err == "error: expected an integer (at position 7)\n"
 
 
+LONG = "9" * 5000  # past the interpreter's 4,300-digit int-to-str limit
+TOO_LONG = "integer of 5000 digits is too long to convert (at position {})"
+
+
+@pytest.mark.parametrize("argv,position", [
+    (["normalize", f"(O,o,0 | {LONG}, (2,1))"], 9),
+    (["report", f"(O,o,0 | 1, ({LONG},1))"], 13),
+    (["group", "order", f"(O,o,0 | 1, (7,{LONG}))"], 15),
+    (["cover", "double", f"(N,n,I,{LONG} | (0,0))"], 7),
+    (["reverse", f"(O,o,0; m={LONG} | -)"], 10),
+], ids=["normalize", "report", "group", "cover", "reverse"])
+def test_overlong_integer_is_a_parse_error(argv, position):
+    proc = subprocess.run([sys.executable, "-m", "seifert", *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {TOO_LONG.format(position)}\n"
+
+
+def test_report_stdin_survives_an_overlong_integer():
+    lines = f"(O,o,0 | 1)\n(O,o,0 | {LONG})\n(O,o,0 | 3)\n"
+    proc = subprocess.run([sys.executable, "-m", "seifert", "report",
+                           "--stdin"], input=lines, capture_output=True,
+                          text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    recs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(recs) == 3
+    assert recs[1] == {"input": f"(O,o,0 | {LONG})",
+                       "error": TOO_LONG.format(9)}
+    assert recs[0]["normalized"] == "(O,o,0 | 1)"
+    assert recs[2]["normalized"] == "(O,o,0 | 3)"
+
+
 def test_report_text_golden(capsys):
     rc, out, err = run(capsys, ["report", POINCARE_FAMILY])
     assert (rc, err) == (0, "")

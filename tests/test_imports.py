@@ -1,7 +1,11 @@
-"""Every name a package module imports is used in that module, and no
-package module guards anything with an assert, which python -O removes."""
+"""Every name a package module imports is used in that module, no
+package module guards anything with an assert, which python -O removes,
+and start-up loads no module the command line does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,14 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text())
     lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert lines == []
+
+
+def test_cli_start_up_skips_the_dataclass_stack():
+    # -S keeps site-packages .pth hooks from importing anything first
+    env = dict(os.environ, PYTHONPATH=str(Path(seifert.__file__).parents[1]))
+    code = ("import sys, seifert.cli; print(' '.join(m for m in "
+            "('dataclasses', 'inspect', 'typing') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

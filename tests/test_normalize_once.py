@@ -1,12 +1,11 @@
 """Normalize once: normalize_symbol marks its result and trusts the mark.
 
 The mark must be invisible (equality, hashing, repr), must never outlive
-a change of the data (dataclasses.replace, the constructor), and must
+a change of the data (seifert.replace, the constructor), and must
 make every later normalization free, so that a report builds exactly two
 symbols per line: the parse and one normal form.
 """
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seifert import (CrossingPair, NotClosedOriented, SeifertSymbol,
-                     euler_sum, normalize_symbol, reverse_orientation)
+                     euler_sum, normalize_symbol, replace, reverse_orientation)
 from seifert.cli import build_report
 from symbolgen import any_symbols, bounded_symbols, closed_oriented_symbols
 

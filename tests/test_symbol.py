@@ -78,6 +78,15 @@ def test_parse_error_carries_position():
     assert exc.value.position == 9
 
 
+@pytest.mark.parametrize("text", ["(O,o,0 | \u00b2)", "(O,o,0 | \u0663)",
+                                  "(O,o,0 | 1, (\uff13,1))"])
+def test_parse_reads_ascii_digits_only(text):
+    # superscript two, Arabic-Indic three, fullwidth three
+    with pytest.raises(ParseError) as exc:
+        parse_symbol(text)
+    assert str(exc.value).startswith("expected an integer")
+
+
 def test_parse_error_on_truncated_text():
     with pytest.raises(ParseError):
         parse_symbol("(O,o,0 | -1, (2,1)")
