@@ -65,9 +65,10 @@ def _word(*syllables):
 
 def presentation_text(p: Presentation) -> str:
     """Render like "< h, c1 | c1^2 h, c1 h c1^-1 h^-1 >"."""
+    names = p.generators
 
     def syll(g, e):
-        name = p.generators[g]
+        name = names[g]
         return name if e == 1 else f"{name}^{e}"
 
     rel_texts = [" ".join(syll(g, e) for g, e in w) for w in p.relators]
