@@ -15,9 +15,9 @@ from .errors import (AlreadyOrientable, BadDeterminant, ExcludedSpace,
                      IndexNotDivisible, InputError, InternalError, InvalidIndex,
                      InvalidSurface, LimitTooSmall, ModeError, NotClosed,
                      NotClosedOriented, NotCoprime, NotOriented,
-                     OddEulerCharacteristic, ParseError, PreconditionError,
-                     QuotientFinite, SeifertError, ValidityError, WrongBase,
-                     ZeroDenominator)
+                     OddEulerCharacteristic, OutputTooLong, ParseError,
+                     PreconditionError, QuotientFinite, SeifertError,
+                     ValidityError, WrongBase, ZeroDenominator)
 from .fst import (BoundaryClass, CrossingPair, FiberedSolidTorus, HomeoMode,
                   crossing_invariants, fold_crossing, fst_equivalent,
                   fst_normalize, lift_curve, lift_fiber,

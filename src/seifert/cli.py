@@ -21,7 +21,7 @@ from fractions import Fraction
 from .arith import ReducedFraction
 from .covers import euler_sum, fiberless_cover, orientable_double_cover
 from .errors import (InputError, LimitTooSmall, NotClosedOriented,
-                     PreconditionError, SeifertError)
+                     OutputTooLong, PreconditionError, SeifertError)
 from .fst import HomeoMode, fst_equivalent, fst_normalize, lift_fiber
 from .groups import (_quotient_by_h, abelianization, fuchsian_quotient,
                      pi1_presentation, presentation_text)
@@ -40,7 +40,10 @@ _PREDICATE_KEYS = ("small", "flat", "pi1_finite", "irreducible",
 
 
 def _frac(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        raise OutputTooLong() from None
 
 
 def build_report(text: str, max_cosets: int = 100000) -> dict:
@@ -189,7 +192,7 @@ def _dispatch(args) -> int:
                     rep = build_report(line)
                 except SeifertError as exc:
                     rep = {"input": line, "error": str(exc)}
-                print(json.dumps(rep))
+                sys.stdout.write(json.dumps(rep) + "\n")
             return 0
         if args.symbol is None:
             print("error: report needs a symbol or --stdin", file=sys.stderr)

@@ -39,6 +39,15 @@ class ParseError(InputError):
         self.position = position
 
 
+class OutputTooLong(InputError):
+    """A result holding an integer past the interpreter's int-to-str digit
+    limit (4300 digits by default), which cannot be written out."""
+
+    def __init__(self):
+        super().__init__("the result has an integer too long to convert "
+                         "to text")
+
+
 class ValidityError(InputError):
     """Structurally parseable data violating a symbol invariant."""
 

@@ -19,7 +19,7 @@ from itertools import chain
 from ._record import record
 from .arith import IntMatrix, smith_normal_form
 from .errors import (InternalError, InvalidIndex, InvalidSurface, LimitTooSmall,
-                     ValidityError)
+                     OutputTooLong, ValidityError)
 from .symbol import SeifertSymbol, normalize_symbol
 
 
@@ -64,17 +64,17 @@ def _word(*syllables):
 
 
 def presentation_text(p: Presentation) -> str:
-    """Render like "< h, c1 | c1^2 h, c1 h c1^-1 h^-1 >"."""
+    """Render like "< h, c1 | c1^2 h, c1 h c1^-1 h^-1 >".
+
+    Raises OutputTooLong when an exponent has too many digits to print.
+    """
     names = p.generators
-
-    def syll(g, e):
-        name = names[g]
-        return name if e == 1 else f"{name}^{e}"
-
-    rel_texts = [" ".join(syll(g, e) for g, e in w) for w in p.relators]
-    gens = ", ".join(p.generators) or "-"
-    rels = ", ".join(rel_texts) or "-"
-    return f"< {gens} | {rels} >"
+    try:
+        rels = ", ".join([" ".join([names[g] if e == 1 else f"{names[g]}^{e}"
+                                    for g, e in w]) for w in p.relators])
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        raise OutputTooLong() from None
+    return f"< {', '.join(names) or '-'} | {rels or '-'} >"
 
 
 @record
@@ -114,12 +114,17 @@ class AbelianGroup:
         return n
 
     def describe(self) -> str:
+        """Text like "Z^2 + Z/2 + Z/6"; raises OutputTooLong when a
+        factor has too many digits to print."""
         parts = []
         if self.free_rank == 1:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{d}" for d in self.torsion)
+        try:
+            parts.extend(f"Z/{d}" for d in self.torsion)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            raise OutputTooLong() from None
         return " + ".join(parts) if parts else "trivial"
 
 
@@ -184,12 +189,24 @@ def fuchsian_quotient(s: SeifertSymbol) -> Presentation:
 
 
 def _quotient_by_h(p: Presentation) -> Presentation:
-    """A pi1_presentation with generator h deleted and words re-merged."""
+    """A pi1_presentation with generator h deleted and words re-merged.
+
+    Deleting h (generator 0) shifts every other index down by one; the
+    syllables it separated are merged as they are copied.
+    """
     relators = []
     for word in p.relators:
-        w = _word(*((g - 1, e) for g, e in word if g != 0))
-        if w:
-            relators.append(w)
+        out = []
+        for g, e in word:
+            if g:
+                g -= 1
+                if out and out[-1][0] == g:
+                    e += out.pop()[1]
+                    if not e:
+                        continue
+                out.append((g, e))
+        if out:
+            relators.append(tuple(out))
     return Presentation(p.generators[1:], tuple(relators))
 
 
@@ -199,15 +216,34 @@ def abelianization(p: Presentation) -> AbelianGroup:
     Zero and repeated rows and columns change neither the rank nor the
     invariant factors, so only the distinct nonzero ones reach the Smith
     normal form; the free rank is the number of generators minus the rank.
+    Each relator's exponent sums are gathered in one scratch row, read
+    back as a sparse key of sorted (generator, sum) pairs and cleared, so
+    the work before the Smith normal form is linear in the syllables plus
+    the generators times the distinct nonzero rows. A pi1_presentation has
+    at most one per pair plus two, whatever the genus: every surface and
+    boundary generator gives a zero row or the row 2h.
     """
     n = len(p.generators)
-    rows = {}
+    acc = [0] * n
+    keys = {}
     for word in p.relators:
-        row = [0] * n
         for g, e in word:
-            row[g] += e
-        if any(row):
-            rows[tuple(row)] = None
+            acc[g] += e
+        key = []
+        for g, _ in word:
+            e = acc[g]
+            if e:
+                key.append((g, e))
+                acc[g] = 0
+        if key:
+            key.sort()
+            keys[tuple(key)] = None
+    rows = []
+    for key in keys:
+        row = [0] * n
+        for g, e in key:
+            row[g] = e
+        rows.append(row)
     cols = list(dict.fromkeys(filter(any, zip(*rows))))
     flat = tuple(chain.from_iterable(zip(*cols)))
     factors, _ = smith_normal_form(IntMatrix(len(rows), len(cols), flat))

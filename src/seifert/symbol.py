@@ -29,8 +29,8 @@ from __future__ import annotations
 from math import gcd
 
 from ._record import record, replace
-from .errors import InvalidSurface, ModeError, NotOriented, ParseError, \
-    ValidityError
+from .errors import InvalidSurface, ModeError, NotOriented, OutputTooLong, \
+    ParseError, ValidityError
 from .fst import CrossingPair
 
 _CLASS_HEADS = ("O,o,", "O,n,", "N,o,", "N,n,I,", "N,n,II,", "N,n,III,")
@@ -335,19 +335,25 @@ def parse_symbol(text: str) -> SeifertSymbol:
 
 
 def render_symbol(s: SeifertSymbol) -> str:
-    """Canonical text for a symbol; parse_symbol inverts it exactly."""
-    head = s.class_part.text()
-    if s.is_bounded:
-        head += f"; m={s.boundary_tori}"
-        if s.boundary_klein:
-            head += f", kb={s.boundary_klein}"
-        tail = ["-"]
-    elif s.class_part.total == "O":
-        tail = [str(s.obstruction)]
-    else:
-        b, ns = s.obstruction
-        tail = [f"({b},{ns})"]
-    tail.extend(f"({p.mu},{p.beta})" for p in s.pairs)
+    """Canonical text for a symbol; parse_symbol inverts it exactly.
+
+    Raises OutputTooLong when an integer has too many digits to print.
+    """
+    try:
+        head = s.class_part.text()
+        if s.is_bounded:
+            head += f"; m={s.boundary_tori}"
+            if s.boundary_klein:
+                head += f", kb={s.boundary_klein}"
+            tail = ["-"]
+        elif s.class_part.total == "O":
+            tail = [str(s.obstruction)]
+        else:
+            b, ns = s.obstruction
+            tail = [f"({b},{ns})"]
+        tail.extend(f"({p.mu},{p.beta})" for p in s.pairs)
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        raise OutputTooLong() from None
     return f"({head} | " + ", ".join(tail) + ")"
 
 

@@ -8,9 +8,17 @@ scratch, so it shares no relator code with pi1_presentation.
 raw_pi1_presentation writes the group of a closed symbol straight from
 its data, without normalizing it first, so that normalization can be
 checked against the presentation recipe.
+
+presentation_text, quotient_by_h and abelianization are the report's
+rendering, h-deletion and exponent-sum matrix before they were made
+linear in the syllables: one call per syllable, a _word re-merge, and a
+dense row of every generator for every relator.
 """
 
-from seifert import CrossingPair, Presentation, SeifertSymbol, normalize_symbol
+from itertools import chain
+
+from seifert import (AbelianGroup, CrossingPair, IntMatrix, Presentation,
+                     SeifertSymbol, normalize_symbol, smith_normal_form)
 from seifert.groups import _word
 
 
@@ -110,3 +118,48 @@ def raw_pi1_presentation(s: SeifertSymbol) -> Presentation:
     if word:
         relators.append(word)
     return Presentation(tuple(names), tuple(relators))
+
+
+def presentation_text(p: Presentation) -> str:
+    """Render like "< h, c1 | c1^2 h, c1 h c1^-1 h^-1 >"."""
+    names = p.generators
+
+    def syll(g, e):
+        name = names[g]
+        return name if e == 1 else f"{name}^{e}"
+
+    rel_texts = [" ".join(syll(g, e) for g, e in w) for w in p.relators]
+    gens = ", ".join(p.generators) or "-"
+    rels = ", ".join(rel_texts) or "-"
+    return f"< {gens} | {rels} >"
+
+
+def quotient_by_h(p: Presentation) -> Presentation:
+    """A pi1_presentation with generator h deleted and words re-merged."""
+    relators = []
+    for word in p.relators:
+        w = _word(*((g - 1, e) for g, e in word if g != 0))
+        if w:
+            relators.append(w)
+    return Presentation(p.generators[1:], tuple(relators))
+
+
+def abelianization(p: Presentation) -> AbelianGroup:
+    """Abelianize by Smith normal form of the exponent-sum matrix.
+
+    Zero and repeated rows and columns change neither the rank nor the
+    invariant factors, so only the distinct nonzero ones reach the Smith
+    normal form; the free rank is the number of generators minus the rank.
+    """
+    n = len(p.generators)
+    rows = {}
+    for word in p.relators:
+        row = [0] * n
+        for g, e in word:
+            row[g] += e
+        if any(row):
+            rows[tuple(row)] = None
+    cols = list(dict.fromkeys(filter(any, zip(*rows))))
+    flat = tuple(chain.from_iterable(zip(*cols)))
+    factors, _ = smith_normal_form(IntMatrix(len(rows), len(cols), flat))
+    return AbelianGroup(n - len(factors), tuple(d for d in factors if d > 1))

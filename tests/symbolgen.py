@@ -5,6 +5,7 @@ corpora, and hypothesis strategies wrapping them for shrinkable property
 tests. Everything returned is already in normal form.
 """
 
+from functools import partial
 from math import gcd
 
 from hypothesis import strategies as st
@@ -91,3 +92,8 @@ closed_oriented_symbols = _wrap(random_closed_oriented)
 closed_nonorientable_symbols = _wrap(random_closed_nonorientable)
 bounded_symbols = _wrap(random_bounded)
 any_symbols = _wrap(random_symbol)
+# genus up to 12 over every class, closed and bounded, for properties of
+# the work that grows with the genus
+high_genus_symbols = st.one_of(
+    [_wrap(partial(builder, g_max=12)) for builder in
+     (random_closed_oriented, random_closed_nonorientable, random_bounded)])

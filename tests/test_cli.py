@@ -225,6 +225,39 @@ def test_report_stdin_survives_an_overlong_integer():
     assert recs[2]["normalized"] == "(O,o,0 | 3)"
 
 
+NINES = "9" * 4300  # the longest integer the interpreter converts to text
+TWIN = f"({10**2200 + 1},1), ({10**2200 + 3},1)"  # index product: 4,401 digits
+OUTPUT_TOO_LONG = "the result has an integer too long to convert to text"
+
+
+@pytest.mark.parametrize("argv", [
+    ["reverse", f"(O,o,0 | {NINES}, (2,1))"],  # b becomes -10^4300
+    ["normalize", f"(O,o,0 | {NINES}, (2,3))"],  # the carry makes b 10^4300
+    ["report", f"(O,o,0 | 0, {TWIN})"],  # the Euler sum's denominator
+    ["group", "pi1", f"(O,o,0 | {NINES}, (2,3))"],  # the exponent of h
+    ["group", "h1", f"(O,o,0 | 1, {TWIN})"],  # the torsion factor
+], ids=["reverse", "normalize", "report", "pi1", "h1"])
+def test_overlong_output_integer_is_an_input_error(argv):
+    proc = subprocess.run([sys.executable, "-m", "seifert", *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {OUTPUT_TOO_LONG}\n"
+
+
+def test_report_stdin_survives_an_overlong_output_integer():
+    lines = f"(O,o,0 | 1)\n(O,o,0 | 0, {TWIN})\n(O,o,0 | 3)\n"
+    proc = subprocess.run([sys.executable, "-m", "seifert", "report",
+                           "--stdin"], input=lines, capture_output=True,
+                          text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    recs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(recs) == 3
+    assert recs[1] == {"input": f"(O,o,0 | 0, {TWIN})",
+                       "error": OUTPUT_TOO_LONG}
+    assert recs[0]["normalized"] == "(O,o,0 | 1)"
+    assert recs[2]["normalized"] == "(O,o,0 | 3)"
+
+
 def test_report_text_golden(capsys):
     rc, out, err = run(capsys, ["report", POINCARE_FAMILY])
     assert (rc, err) == (0, "")
@@ -262,7 +295,12 @@ def test_report_large_lens_is_closed_form():
 
 
 # Many-fiber symbols whose first homology took the unbounded Smith normal
-# form seconds (the last three) or more than two minutes (the first).
+# form seconds (the next three) or more than two minutes (the first), and
+# high-genus symbols whose dense exponent-sum rows took 1-6 s (the last
+# four). The high-genus h1 values are those of tests/snf_oracle.py on the
+# unpruned exponent-sum matrix, which gives Z^(2g+1), Z^2g + Z/2 and
+# Z^(g-1) + Z/4 for these four families at every genus from 2 to 40 and
+# at 100, 300, 1000 and 2500; at these genera it has 10^8 cells or more.
 MANY_FIBERS = [
     ("(O,o,3 | 2, (44,25), (26,25), (43,34), (59,14), (60,7), (55,36), "
      "(46,7), (15,13), (19,3), (59,11), (6,1), (38,37), (42,41), (58,35), "
@@ -278,6 +316,10 @@ MANY_FIBERS = [
     ("(O,n,2 | 1, (9,1), (4,3), (5,4), (4,1), (2,1), (3,2), (9,7), (7,5), "
      "(8,5), (3,2))",
      "Z + Z/6 + Z/12 + Z/36 + Z/10080"),
+    ("(O,o,10000 | 0)", "Z^20001"),
+    ("(N,o,5000 | (0,0))", "Z^10000 + Z/2"),
+    ("(O,n,20000 | 1)", "Z^19999 + Z/4"),
+    ("(N,n,II,20000 | (1,0))", "Z^19999 + Z/4"),
 ]
 
 
@@ -301,6 +343,23 @@ def test_report_stdin_json_lines(capsys, monkeypatch):
     assert recs[1] == {"input": "(O,o,0|bad)",
                        "error": "expected an integer (at position 7)"}
     assert recs[2]["predicates"]["flat"] is True
+
+
+def test_report_stdin_writes_each_record_once(monkeypatch):
+    # under python -u every write reaches the pipe, and a reader may wake
+    # for each, so a record and its newline go out in one write
+    writes = []
+
+    class Out(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO("(O,o,0 | 1)\n(O,o,0|bad)\n"))
+    monkeypatch.setattr(sys, "stdout", Out())
+    assert run_cli(["report", "--stdin"]) == 0
+    assert len(writes) == 2
+    assert all(w.endswith("}\n") and w.count("\n") == 1 for w in writes)
 
 
 def test_report_stdin_isolates_every_failure(capsys, monkeypatch):

@@ -12,13 +12,16 @@ from seifert import (AbelianGroup, ClassPart, CrossingPair, FuchsianSignature,
                      IntMatrix, InternalError, InvalidIndex, LimitTooSmall,
                      Presentation, SeifertSymbol, SizeClass, ValidityError,
                      abelianization, coset_enumerate, fuchsian_euler,
-                     fuchsian_quotient, fuchsian_size_class, parse_symbol,
-                     pi1_presentation, presentation_text, signature_of_symbol,
-                     symbols_equivalent, triangle_info, triangle_presentation)
+                     fuchsian_quotient, fuchsian_size_class, normalize_symbol,
+                     parse_symbol, pi1_presentation, presentation_text,
+                     replace, signature_of_symbol, symbols_equivalent,
+                     triangle_info, triangle_presentation)
+from seifert import groups
+from seifert.groups import _quotient_by_h
 import presentation_oracle
 import snf_oracle
 from symbolgen import (any_symbols, bounded_symbols, closed_nonorientable_symbols,
-                       closed_oriented_symbols)
+                       closed_oriented_symbols, high_genus_symbols)
 
 
 # permutation-group oracle: closure size by breadth-first multiplication
@@ -290,6 +293,44 @@ def test_abelianization_matches_the_oracle_on_the_full_matrix(s):
         IntMatrix(len(p.relators), n, tuple(flat)))
     assert abelianization(p) == AbelianGroup(
         defect, tuple(d for d in factors if d > 1))
+
+
+def _with_snf_input(module, abelianize, p):
+    """abelianize(p) and the matrices it hands to module.smith_normal_form."""
+    seen = []
+    real = module.smith_normal_form
+    module.smith_normal_form = lambda m: seen.append(m) or real(m)
+    try:
+        return abelianize(p), seen
+    finally:
+        module.smith_normal_form = real
+
+
+def test_abelianization_merges_equal_rows_written_in_another_order():
+    p = Presentation(("a", "b"), (((0, 1), (1, 2)), ((1, 2), (0, 1))))
+    assert (_with_snf_input(groups, abelianization, p)
+            == _with_snf_input(presentation_oracle,
+                               presentation_oracle.abelianization, p)
+            == (AbelianGroup(1, ()), [IntMatrix(1, 2, (1, 2))]))
+
+
+@settings(max_examples=300)
+@given(high_genus_symbols, st.sampled_from([0, 2, 4]))
+def test_group_block_matches_the_per_syllable_oracle(s, klein):
+    # the report's text, quotient and H1, down to the Smith normal form's
+    # input matrix, against the per-syllable bodies they replaced; bounded
+    # class-N symbols get extra Klein boundaries
+    if s.is_bounded and s.class_part.total == "N":
+        s = normalize_symbol(replace(s, boundary_klein=s.boundary_klein + klein))
+    p = pi1_presentation(s)
+    q = _quotient_by_h(p)
+    assert q == presentation_oracle.quotient_by_h(p)
+    for pres in (p, q):
+        assert (presentation_text(pres).encode()
+                == presentation_oracle.presentation_text(pres).encode())
+        assert (_with_snf_input(groups, abelianization, pres)
+                == _with_snf_input(presentation_oracle,
+                                   presentation_oracle.abelianization, pres))
 
 
 def test_class_n_fold_keeps_first_homology():
