@@ -2,8 +2,8 @@
 
 Everything is pure-Python integer and rational arithmetic: symbol
 parsing and normal forms, fundamental groups and their Fuchsian
-quotients, abelianization by Smith normal form, coset enumeration,
-lens-space recognition, topological predicates and cover
+quotients, first homology, abelianization by Smith normal form, coset
+enumeration, lens-space recognition, topological predicates and cover
 constructions. The console script `seifert` exposes each operation.
 """
 
@@ -24,8 +24,9 @@ from .fst import (BoundaryClass, CrossingPair, FiberedSolidTorus, HomeoMode,
                   meridian_from_crossing)
 from .groups import (AbelianGroup, EnumerationResult, FuchsianSignature,
                      Presentation, SizeClass, TriangleInfo, abelianization,
-                     coset_enumerate, fuchsian_euler, fuchsian_quotient,
-                     fuchsian_size_class, pi1_presentation, presentation_text,
+                     coset_enumerate, first_homology, fuchsian_euler,
+                     fuchsian_quotient, fuchsian_size_class,
+                     pi1_presentation, presentation_text,
                      signature_of_symbol, triangle_info,
                      triangle_presentation)
 from .lens import (GluingMatrix, LensParams, Recognition, fibering_transform,

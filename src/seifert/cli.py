@@ -23,7 +23,7 @@ from .covers import euler_sum, fiberless_cover, orientable_double_cover
 from .errors import (InputError, LimitTooSmall, NotClosedOriented,
                      OutputTooLong, PreconditionError, SeifertError)
 from .fst import HomeoMode, fst_equivalent, fst_normalize, lift_fiber
-from .groups import (_quotient_by_h, abelianization, fuchsian_quotient,
+from .groups import (_quotient_by_h, first_homology, fuchsian_quotient,
                      pi1_presentation, presentation_text)
 from .lens import GluingMatrix, fibering_transform, lens_normalize
 from .symbol import (EquivalenceMode, normalize_symbol, parse_symbol,
@@ -70,7 +70,7 @@ def build_report(text: str, max_cosets: int = 100000) -> dict:
         "predicates": pred_dict,
         "pi1": presentation_text(pi1),
         "fuchsian": presentation_text(_quotient_by_h(pi1)),
-        "h1": abelianization(pi1).describe(),
+        "h1": first_homology(ns).describe(),
         "euler_sum": es,
         "recognition": pred.named,
         "warnings": warnings,
@@ -253,7 +253,7 @@ def _dispatch(args) -> int:
             print(presentation_text(fuchsian_quotient(s)))
             return 0
         if kind == "h1":
-            print(abelianization(pi1_presentation(s)).describe())
+            print(first_homology(s).describe())
             return 0
         budget = args.max_cosets
         if budget < 1:

@@ -4,10 +4,12 @@ The group of a fibered space is generated by a central-up-to-sign fiber
 class h, the orbit surface generators, one loop per exceptional fiber and
 one per boundary component. Deleting h gives the Fuchsian quotient, the
 group of the orbit 2-orbifold, and that is how its presentation is
-computed. Both come with exact abelianization via Smith normal form and a
-coset enumerator for deciding finiteness within a coset budget. The
-enumerator is library API and the test oracle for the closed-form group
-order of topology.classify_small; the command line does not run it.
+computed. first_homology reads H1 off the symbol by folding the fibers
+into a core of bounded size. abelianization, by Smith normal form of any
+presentation's exponent sums, is the general tool and its test oracle.
+A coset enumerator decides finiteness within a coset budget; it is library
+API and the test oracle for the closed-form group order of
+topology.classify_small, and the command line does not run it.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 
 from ._record import record
-from .arith import IntMatrix, smith_normal_form
+from .arith import IntMatrix, _xgcd, smith_normal_form
 from .errors import (InternalError, InvalidIndex, InvalidSurface, LimitTooSmall,
                      OutputTooLong, ValidityError)
 from .symbol import SeifertSymbol, normalize_symbol
@@ -152,10 +155,9 @@ def pi1_presentation(s: SeifertSymbol) -> Presentation:
     pairs = s.expanded_pairs()
     if cp.orbit == "o":
         surface = [f"{x}{i}" for i in range(1, cp.genus + 1) for x in "ab"]
-        k = 1 if cp.total == "N" and cp.genus else 0
     else:
         surface = [f"x{i}" for i in range(1, cp.genus + 1)]
-        k = {None: cp.genus, "I": 0, "II": 1, "III": 2}[cp.subtype]
+    k = _reversing_count(cp)
     # h is generator 0, so the surface generators are 1 .. k .. c0 - 1
     c0 = 1 + len(surface)
     klein0 = c0 + len(pairs) + s.boundary_tori
@@ -171,11 +173,28 @@ def pi1_presentation(s: SeifertSymbol) -> Presentation:
                         for d, e in ((0, 1), (1, 1), (0, -1), (1, -1))]
         else:
             long_rel = [(y, 2) for y in range(1, c0)]
-        b = s.obstruction if cp.total == "O" else s.obstruction[0]
-        w = _word(*long_rel, *((c0 + i, 1) for i in range(len(pairs))), (0, b))
+        w = _word(*long_rel, *((c0 + i, 1) for i in range(len(pairs))),
+                  (0, _long_relator_exponent(s)))
         if w:
             relators.append(w)
     return Presentation(tuple(names), tuple(relators))
+
+
+def _reversing_count(cp) -> int:
+    """k: how many of the first orbit-surface generators reverse the fiber."""
+    if cp.orbit == "o":
+        return 1 if cp.total == "N" and cp.genus else 0
+    return {None: cp.genus, "I": 0, "II": 1, "III": 2}[cp.subtype]
+
+
+def _long_relator_exponent(s: SeifertSymbol) -> int:
+    """The exponent of h that closes the long relator of a closed normal form.
+
+    It is b for class O and the b of (b, s) for class N, so the relator
+    reads c1 ... cn h^b. pi1_presentation and first_homology both read it
+    here, which keeps the sign of b in the group in one place.
+    """
+    return s.obstruction if s.class_part.total == "O" else s.obstruction[0]
 
 
 def fuchsian_quotient(s: SeifertSymbol) -> Presentation:
@@ -211,7 +230,10 @@ def _quotient_by_h(p: Presentation) -> Presentation:
 
 
 def abelianization(p: Presentation) -> AbelianGroup:
-    """Abelianize by Smith normal form of the exponent-sum matrix.
+    """Abelianize any presentation by Smith normal form of its exponent sums.
+
+    This is the general tool, and the test oracle of first_homology, which
+    reads the same group off a symbol without building the matrix.
 
     Zero and repeated rows and columns change neither the rank nor the
     invariant factors, so only the distinct nonzero ones reach the Smith
@@ -248,6 +270,150 @@ def abelianization(p: Presentation) -> AbelianGroup:
     flat = tuple(chain.from_iterable(zip(*cols)))
     factors, _ = smith_normal_form(IntMatrix(len(rows), len(cols), flat))
     return AbelianGroup(n - len(factors), tuple(d for d in factors if d > 1))
+
+
+def first_homology(s: SeifertSymbol) -> AbelianGroup:
+    """H1 of the fibered space: abelianization(pi1_presentation(s)).
+
+    Unimodular row and column operations on the exponent-sum rows of
+    pi1_presentation, read straight from the normal form (Orlik, Seifert
+    Manifolds, LNM 291, 1972):
+    - A surface or boundary generator gives a free summand, a crosscap of
+      a closed non-orientable orbit a term 2y of the long row, with
+      y = x1 + ... + xg, and a fiber-reversing one the row 2h.
+    - The pair rows mu c + beta h fold one at a time into a merged row
+      L c + H h. Each fold with g = gcd(M, mu) > 1 leaves a side row
+      g d + r h whose column d is in no other row.
+    - Closed symbols: the long row's unit on c eliminates the merged
+      column, leaving the core row (H - L b) h - 2L y (no y term over an
+      orientable orbit). Bounded symbols: the merged row is one more side
+      row.
+    - The side rows form a divisibility chain. One whose h-entry lies in
+      the ideal of its index, the h-entries above it, the core's and 2
+      (when h has order 2) splits off as Z/g.
+    Only the rest, a few rows on h, y and the unsplit d, reaches the Smith
+    normal form, so the cost is near linear in the fibers.
+    """
+    s = normalize_symbol(s)
+    cp = s.class_part
+    closed = s.is_closed
+    two = 2 if _reversing_count(cp) or s.boundary_klein else 0
+    ycol = closed and cp.orbit == "n"
+    free = s.boundary_tori + s.boundary_klein + (
+        2 * cp.genus if cp.orbit == "o" else cp.genus - ycol)
+    pairs = [(p.mu, p.beta) for p in s.pairs]
+    if closed and cp.total == "N":
+        pairs += [(2, 1)] * s.obstruction[1]
+    side = []
+    pure = {}
+    m, bh = 1, 0
+    for mu, beta in pairs:
+        g, x, y = _xgcd(m, mu)
+        if g > 1:
+            _add_side_row(side, pure, g, (y * beta - x * bh) % g)
+        m, bh = m // g * mu, (mu * bh + m * beta) // g
+    if closed:
+        core = bh - m * _long_relator_exponent(s)
+    else:
+        core = 0
+        if m > 1:
+            _add_side_row(side, pure, m, bh % m)
+    # top down, t generates the ideal of the h-entries above a side row
+    t = gcd(core, two)
+    rest = []
+    for g, r in reversed(side):
+        if r % gcd(g, t):
+            rest.append((g, r))
+        else:
+            pure[g] = pure.get(g, 0) + 1
+        t = gcd(t, r)
+    width = 1 + ycol + len(rest)
+    rows = []
+    for i, (g, r) in enumerate(rest):
+        row = [0] * width
+        row[0], row[1 + ycol + i] = r, g
+        rows.append(row)
+    if closed:
+        rows.append([core] + [-2 * m] * ycol + [0] * len(rest))
+    if two:
+        rows.append([2] + [0] * (width - 1))
+    factors, defect = smith_normal_form(
+        IntMatrix(len(rows), width, tuple(chain.from_iterable(rows))))
+    for d in factors:
+        if d > 1:
+            pure[d] = pure.get(d, 0) + 1
+    runs = []
+    for d, count in pure.items():
+        for _ in range(count):
+            runs = _add_cyclic(runs, d)
+    return AbelianGroup(free + defect,
+                        tuple(d for d, count in runs for _ in range(count)))
+
+
+def _add_side_row(side, pure, g, r):
+    """Insert the side row g d + r h into the chain side, in place.
+
+    side holds (index, h-entry) rows whose indices strictly increase by
+    divisibility. From the top down, a row whose index does not divide
+    the new one trades it for gcd and lcm rows, the lcm staying and the
+    gcd moving on (g1 d1 + r1 h, g2 d2 + r2 h become G d1 + (x r1 + y r2) h
+    and l d2 + ((g1 r2 - g2 r1) / G) h). A row of index 1 drops out. Two
+    rows of equal index become one row on the gcd of their h-entries and
+    a row with none, a Z/g summand counted in pure.
+    """
+    i = len(side)
+    while i:
+        d, t = side[i - 1]
+        if g % d == 0:
+            break
+        G, x, y = _xgcd(d, g)
+        lcm = d // G * g
+        side[i - 1] = (lcm, (d * r - g * t) // G % lcm)
+        g, r = G, (x * t + y * r) % G
+        i -= 1
+        if g == 1:
+            break
+    if g > 1:
+        side.insert(i, (g, r))
+    j = 1
+    while j < len(side):
+        (a, u), (b, v) = side[j - 1], side[j]
+        if a == b:
+            side[j - 1:j + 1] = [(a, gcd(u, v))]
+            pure[a] = pure.get(a, 0) + 1
+        else:
+            j += 1
+
+
+def _add_cyclic(runs, v):
+    """The invariant-factor runs of a group plus Z/v.
+
+    runs is a list of (factor, multiplicity), the factors strictly
+    increasing by divisibility. From the top down, the first copy of each
+    factor d that v does not divide becomes lcm(d, v) and v becomes
+    gcd(d, v); the other copies keep d, since the new v divides d.
+    """
+    top = []
+    i = len(runs)
+    while i and v > 1:
+        d, count = runs[i - 1]
+        if v % d == 0:
+            break
+        g = gcd(d, v)
+        top.append((d // g * v, 1))
+        if count > 1:
+            top.append((d, count - 1))
+        v = g
+        i -= 1
+    if v > 1:
+        top.append((v, 1))
+    out = runs[:i]
+    for d, count in reversed(top):
+        if out and out[-1][0] == d:
+            out[-1] = (d, out[-1][1] + count)
+        else:
+            out.append((d, count))
+    return out
 
 
 # ---------------------------------------------------------------------------

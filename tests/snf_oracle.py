@@ -6,11 +6,12 @@ Euclid loop over the whole matrix, then repairs the divisibility chain
 with gcd/lcm swaps. Its answers are exact, but its intermediate entries
 grow without bound: on some 10-fiber presentations they reach tens of
 thousands of bits and take seconds. Compare against it on small matrices.
+abelianization applies it to a presentation's unpruned exponent-sum matrix.
 """
 
 from math import gcd
 
-from seifert import IntMatrix
+from seifert import AbelianGroup, IntMatrix
 
 
 def _pick_pivot(a, t, nr, nc):
@@ -92,3 +93,15 @@ def smith_normal_form(m: IntMatrix):
                 g = gcd(di, dj)
                 diag[i], diag[j] = g, di * dj // g
     return tuple(diag), nc - len(diag)
+
+
+def abelianization(p):
+    """The abelianization of a presentation from its unpruned exponent-sum
+    matrix: every relator a row, every generator a column."""
+    n = len(p.generators)
+    flat = [0] * (len(p.relators) * n)
+    for i, word in enumerate(p.relators):
+        for g, e in word:
+            flat[i * n + g] += e
+    factors, defect = smith_normal_form(IntMatrix(len(p.relators), n, tuple(flat)))
+    return AbelianGroup(defect, tuple(d for d in factors if d > 1))

@@ -10,7 +10,8 @@ from math import gcd
 
 from hypothesis import strategies as st
 
-from seifert import (ClassPart, CrossingPair, SeifertSymbol, normalize_symbol)
+from seifert import (ClassPart, CrossingPair, SeifertSymbol, normalize_symbol,
+                     replace)
 
 
 def random_pair(rng, mu_max=9):
@@ -67,6 +68,34 @@ def random_bounded(rng, g_max=2, n_max=3, mu_max=7):
     return normalize_symbol(SeifertSymbol(cp, tori, klein, None, pairs))
 
 
+def random_large_pair(rng):
+    """A pair of index up to 10^6, or past 10^30 one time in eight."""
+    if rng.random() < 0.875:
+        mu = rng.randint(2, 10**6)
+    else:
+        mu = rng.randint(10**30, 10**31)
+    beta = rng.randrange(1, mu)
+    while gcd(beta, mu) != 1:
+        beta += 1
+    return CrossingPair(mu, beta)
+
+
+def random_fibered(rng, n_max=12):
+    """A normalized symbol of any class, closed or bounded, whose up to
+    n_max pairs come in runs of equal pairs, small or large indices."""
+    pairs = []
+    n = rng.randint(0, n_max)
+    while len(pairs) < n:
+        if rng.random() < 0.5:
+            p = random_pair(rng, rng.choice((3, 9, 30)))
+        else:
+            p = random_large_pair(rng)
+        pairs += [p] * rng.randint(1, n - len(pairs))
+    s = rng.choice((random_closed_oriented, random_closed_nonorientable,
+                    random_bounded))(rng)
+    return normalize_symbol(replace(s, pairs=tuple(pairs)))
+
+
 def random_symbol(rng):
     roll = rng.random()
     if roll < 0.55:
@@ -92,6 +121,8 @@ closed_oriented_symbols = _wrap(random_closed_oriented)
 closed_nonorientable_symbols = _wrap(random_closed_nonorientable)
 bounded_symbols = _wrap(random_bounded)
 any_symbols = _wrap(random_symbol)
+# up to 12 fibers in runs of equal pairs, indices up to 10^6 and past 10^30
+fibered_symbols = _wrap(random_fibered)
 # genus up to 12 over every class, closed and bounded, for properties of
 # the work that grows with the genus
 high_genus_symbols = st.one_of(

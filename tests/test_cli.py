@@ -11,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from seifert import (InternalError, parse_symbol, render_symbol,
-                     reverse_orientation)
+from seifert import (InternalError, parse_symbol, pi1_presentation,
+                     render_symbol, reverse_orientation)
 from seifert.cli import BOUNDED_WARNING, build_report, run_cli
+import snf_oracle
 
 POINCARE_FAMILY = "(O,o,0 | -1, (2,1), (3,1), (5,1))"
 HYPERBOLIC = "(O,o,0 | -1, (2,1), (3,1), (7,1))"
@@ -126,6 +127,23 @@ def test_group_h1_and_order(capsys):
     assert (rc, out) == (0, "120\n")
     rc, out, _ = run(capsys, ["group", "order", POINCARE_FAMILY])
     assert (rc, out) == (0, "7320\n")
+
+
+def test_report_and_group_h1_do_not_abelianize(capsys, monkeypatch):
+    # H1 comes from groups.first_homology; abelianization, the general
+    # tool and its oracle, must not run behind either command
+    def refuse(p):
+        raise AssertionError("abelianization called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "seifert" and hasattr(module, "abelianization"):
+            monkeypatch.setattr(module, "abelianization", refuse)
+    data = Path(__file__).parent / "data"
+    symbols = (data / "golden_symbols.txt").read_text().splitlines()
+    pinned = (data / "golden_report.jsonl").read_text().splitlines()
+    assert [json.dumps(build_report(s)) for s in symbols] == pinned
+    rc, out, _ = run(capsys, ["group", "h1", POINCARE_FAMILY])
+    assert (rc, out) == (0, "Z/61\n")
 
 
 def test_group_order_budget_exhaustion(capsys):
@@ -323,6 +341,24 @@ MANY_FIBERS = [
 ]
 
 
+def two_one_fibers(head, n):
+    return f"({head}" + ", (2,1)" * n + ")"
+
+
+# Symbols with n (2,1) fibers, on which the general Smith normal form of
+# the whole presentation took 0.5 s at n = 200 and 6 s at n = 400. Their
+# h1 takes the closed forms below, which
+# test_many_fiber_forms_follow_the_oracle_ladder checks against
+# tests/snf_oracle.py on the unpruned exponent-sum matrix for n = 3 ... 60.
+FIBER_FAMILIES = [
+    ("O,o,0 | 0", lambda n: " + ".join(["Z/2"] * (n - 2) + [f"Z/{2 * n}"])),
+    ("N,n,I,1 | (0,0)", lambda n: " + ".join(
+        ["Z"] + (["Z/2"] * (n - 2) + ["Z/4"] if n % 2 == 0 else ["Z/2"] * (n - 1)))),
+]
+MANY_FIBERS += [(two_one_fibers(head, n), form(n))
+                for (head, form), n in zip(FIBER_FAMILIES, (400, 2000))]
+
+
 @pytest.mark.parametrize("symbol,h1", MANY_FIBERS,
                          ids=[s[1:s.index(" |")] for s, _ in MANY_FIBERS])
 def test_report_many_fibers_is_fast(symbol, h1):
@@ -330,6 +366,14 @@ def test_report_many_fibers_is_fast(symbol, h1):
     rep = build_report(symbol)
     assert time.perf_counter() - start < 1
     assert rep["h1"] == h1
+
+
+@pytest.mark.parametrize("head, form", FIBER_FAMILIES,
+                         ids=[head for head, _ in FIBER_FAMILIES])
+def test_many_fiber_forms_follow_the_oracle_ladder(head, form):
+    for n in range(3, 61):
+        p = pi1_presentation(parse_symbol(two_one_fibers(head, n)))
+        assert snf_oracle.abelianization(p).describe() == form(n), n
 
 
 def test_report_stdin_json_lines(capsys, monkeypatch):
