@@ -205,16 +205,40 @@ def _diagonal_mod(a, det):
 
 
 def _chain(factors):
-    """Turn positive integers into a divisibility chain with the same
-    product by gcd/lcm swaps (the invariant factors of their diagonal)."""
-    d = list(factors)
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            di, dj = d[i], d[j]
-            if dj % di != 0:
-                g = gcd(di, dj)
-                d[i], d[j] = g, di * dj // g
-    return d
+    """The invariant factors of the diagonal of positive integers: a
+    divisibility chain, smallest first, with the same length and product.
+
+    The factors above 1 are inserted one at a time into runs (d, count)
+    whose d strictly increase by divisibility. From the top down, the
+    first copy of each d that v does not divide becomes lcm(d, v) and v
+    becomes gcd(d, v); the other copies keep d, since the new v divides
+    d. There are at most log2 of the largest factor runs, so the cost is
+    about linear in the factors.
+    """
+    runs = []
+    for v in factors:
+        top = []
+        i = len(runs)
+        while i and v > 1:
+            d, count = runs[i - 1]
+            if v % d == 0:
+                break
+            g = gcd(d, v)
+            top.append((d // g * v, 1))
+            if count > 1:
+                top.append((d, count - 1))
+            v = g
+            i -= 1
+        if v > 1:
+            top.append((v, 1))
+        runs = runs[:i]
+        for d, count in reversed(top):
+            if runs and runs[-1][0] == d:
+                runs[-1] = (d, runs[-1][1] + count)
+            else:
+                runs.append((d, count))
+    chain = [d for d, count in runs for _ in range(count)]
+    return [1] * (len(factors) - len(chain)) + chain
 
 
 def _core_factors(a):

@@ -20,7 +20,7 @@ from itertools import chain
 from math import gcd
 
 from ._record import record
-from .arith import IntMatrix, _xgcd, smith_normal_form
+from .arith import IntMatrix, _chain, _xgcd, smith_normal_form
 from .errors import (InternalError, InvalidIndex, InvalidSurface, LimitTooSmall,
                      OutputTooLong, ValidityError)
 from .symbol import SeifertSymbol, normalize_symbol
@@ -278,21 +278,24 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
     Unimodular row and column operations on the exponent-sum rows of
     pi1_presentation, read straight from the normal form (Orlik, Seifert
     Manifolds, LNM 291, 1972):
-    - A surface or boundary generator gives a free summand, a crosscap of
-      a closed non-orientable orbit a term 2y of the long row, with
-      y = x1 + ... + xg, and a fiber-reversing one the row 2h.
+    - Each surface and boundary generator is a free summand, except that
+      the crosscaps of a closed non-orientable orbit enter the long row
+      as 2y, with y = x1 + ... + xg. A fiber-reversing generator also
+      gives the row 2h.
     - The pair rows mu c + beta h fold one at a time into a merged row
-      L c + H h. Each fold with g = gcd(M, mu) > 1 leaves a side row
-      g d + r h whose column d is in no other row.
-    - Closed symbols: the long row's unit on c eliminates the merged
-      column, leaving the core row (H - L b) h - 2L y (no y term over an
-      orientable orbit). Bounded symbols: the merged row is one more side
-      row.
-    - The side rows form a divisibility chain. One whose h-entry lies in
-      the ideal of its index, the h-entries above it, the core's and 2
-      (when h has order 2) splits off as Z/g.
+      M c + B h, which becomes lcm(M, mu) c + ((mu B + M beta) / g) h
+      with g = gcd(M, mu) = x M + y mu. A fold with g > 1 leaves the side
+      row g d + r h, r = (y beta - x B) mod g, whose column d is in no
+      other row.
+    - In a closed symbol the long row's unit on c eliminates the merged
+      column. That leaves the core row (B - M b) h - 2M y, without the y
+      term over an orientable orbit. In a bounded symbol the merged row
+      is one more side row.
+    - The side rows form a divisibility chain. A side row splits off as
+      Z/g when its h-entry lies in the ideal generated by its index, the
+      h-entries above it, the core's and 2 (when there is a row 2h).
     Only the rest, a few rows on h, y and the unsplit d, reaches the Smith
-    normal form, so the cost is near linear in the fibers.
+    normal form, so the cost is about linear in the fibers.
     """
     s = normalize_symbol(s)
     cp = s.class_part
@@ -302,10 +305,10 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
     free = s.boundary_tori + s.boundary_klein + (
         2 * cp.genus if cp.orbit == "o" else cp.genus - ycol)
     pairs = [(p.mu, p.beta) for p in s.pairs]
-    if closed and cp.total == "N":
+    if closed and cp.total == "N":  # the index-2 count s
         pairs += [(2, 1)] * s.obstruction[1]
     side = []
-    pure = {}
+    pure = []
     m, bh = 1, 0
     for mu, beta in pairs:
         g, x, y = _xgcd(m, mu)
@@ -325,7 +328,7 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
         if r % gcd(g, t):
             rest.append((g, r))
         else:
-            pure[g] = pure.get(g, 0) + 1
+            pure.append(g)
         t = gcd(t, r)
     width = 1 + ycol + len(rest)
     rows = []
@@ -339,15 +342,8 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
         rows.append([2] + [0] * (width - 1))
     factors, defect = smith_normal_form(
         IntMatrix(len(rows), width, tuple(chain.from_iterable(rows))))
-    for d in factors:
-        if d > 1:
-            pure[d] = pure.get(d, 0) + 1
-    runs = []
-    for d, count in pure.items():
-        for _ in range(count):
-            runs = _add_cyclic(runs, d)
-    return AbelianGroup(free + defect,
-                        tuple(d for d, count in runs for _ in range(count)))
+    torsion = _chain(pure + list(factors))
+    return AbelianGroup(free + defect, tuple(d for d in torsion if d > 1))
 
 
 def _add_side_row(side, pure, g, r):
@@ -356,10 +352,11 @@ def _add_side_row(side, pure, g, r):
     side holds (index, h-entry) rows whose indices strictly increase by
     divisibility. From the top down, a row whose index does not divide
     the new one trades it for gcd and lcm rows, the lcm staying and the
-    gcd moving on (g1 d1 + r1 h, g2 d2 + r2 h become G d1 + (x r1 + y r2) h
-    and l d2 + ((g1 r2 - g2 r1) / G) h). A row of index 1 drops out. Two
+    gcd moving on: with G = gcd(g1, g2) = x g1 + y g2, the rows
+    g1 d1 + r1 h and g2 d2 + r2 h become G d1 + (x r1 + y r2) h and
+    lcm d2 + ((g1 r2 - g2 r1) / G) h. A row of index 1 drops out. Two
     rows of equal index become one row on the gcd of their h-entries and
-    a row with none, a Z/g summand counted in pure.
+    a row with none, a Z/g summand appended to pure.
     """
     i = len(side)
     while i:
@@ -380,40 +377,9 @@ def _add_side_row(side, pure, g, r):
         (a, u), (b, v) = side[j - 1], side[j]
         if a == b:
             side[j - 1:j + 1] = [(a, gcd(u, v))]
-            pure[a] = pure.get(a, 0) + 1
+            pure.append(a)
         else:
             j += 1
-
-
-def _add_cyclic(runs, v):
-    """The invariant-factor runs of a group plus Z/v.
-
-    runs is a list of (factor, multiplicity), the factors strictly
-    increasing by divisibility. From the top down, the first copy of each
-    factor d that v does not divide becomes lcm(d, v) and v becomes
-    gcd(d, v); the other copies keep d, since the new v divides d.
-    """
-    top = []
-    i = len(runs)
-    while i and v > 1:
-        d, count = runs[i - 1]
-        if v % d == 0:
-            break
-        g = gcd(d, v)
-        top.append((d // g * v, 1))
-        if count > 1:
-            top.append((d, count - 1))
-        v = g
-        i -= 1
-    if v > 1:
-        top.append((v, 1))
-    out = runs[:i]
-    for d, count in reversed(top):
-        if out and out[-1][0] == d:
-            out[-1] = (d, out[-1][1] + count)
-        else:
-            out.append((d, count))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -82,17 +82,22 @@ def smith_normal_form(m: IntMatrix):
             if not again:
                 break
         t += 1
-    diag = [abs(a[i][i]) for i in range(t)]
-    # Repair the divisibility chain with gcd/lcm swaps; products are
-    # preserved, so the factor product still equals |det| for square
-    # full-rank input.
+    diag = chain([abs(a[i][i]) for i in range(t)])
+    return tuple(diag), nc - len(diag)
+
+
+def chain(factors):
+    """Repair a list of positive integers into a divisibility chain with
+    gcd/lcm swaps over every pair; products are preserved, so the factor
+    product still equals |det| for square full-rank input."""
+    diag = list(factors)
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             di, dj = diag[i], diag[j]
             if dj % di != 0:
                 g = gcd(di, dj)
                 diag[i], diag[j] = g, di * dj // g
-    return tuple(diag), nc - len(diag)
+    return diag
 
 
 def abelianization(p):

@@ -1,6 +1,7 @@
 """Reduced fractions mod 1 and Smith normal form."""
 
 import random
+import time
 from itertools import combinations
 from math import gcd, prod
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from seifert import (IntMatrix, ReducedFraction, ZeroDenominator, reduce_mod1,
                      smith_normal_form)
+from seifert.arith import _chain
 
 import snf_oracle
 
@@ -143,6 +145,23 @@ def test_smith_invariant_under_row_and_column_operations(rows, seed):
 
 def _matrix(rows, ncols):
     return IntMatrix(len(rows), ncols, tuple(x for r in rows for x in r))
+
+
+# repeated small factors, which form long runs, and a few large ones
+chain_factors = st.lists(st.one_of(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 18]),
+                                   st.integers(1, 10**40)), max_size=40)
+
+
+@given(chain_factors)
+def test_chain_matches_the_pairwise_swaps(factors):
+    assert _chain(factors) == snf_oracle.chain(factors)
+
+
+def test_chain_of_many_equal_factors_is_fast():
+    start = time.perf_counter()
+    assert _chain([6] * 3000 + [9] * 3000 + [4] * 3000) \
+        == [1] * 3000 + [6] * 3000 + [36] * 3000
+    assert time.perf_counter() - start < 0.5
 
 
 @st.composite

@@ -373,9 +373,13 @@ def test_first_homology_matches_the_oracle(s, klein):
     ("(O,o,0 | 0, (6,1), (6,1), (6,5), (9,2), (10,3), (15,2))",
      "Z/3 + Z/6 + Z/6 + Z/4920"),
     ("(O,o,0 | 0, (6,1), (10,1), (15,1))", "Z/300"),
+    ("(O,o,1 | 2, (6,1), (15,14))", "Z^2 + Z/81"),
     ("(O,n,1 | 0, (4,1), (4,1), (4,3), (4,3))", "Z/4 + Z/4 + Z/8 + Z/8"),
     ("(O,o,0; m=1 | -, (4,1), (6,1), (9,2))", "Z^2 + Z/6"),
     ("(N,o,0; m=1, kb=2 | -, (3,1), (3,1), (3,1))", "Z^3 + Z/3 + Z/3 + Z/6"),
+    ("(O,o,2; m=2 | -, (12,1), (15,2), (20,7))", "Z^7 + Z/60"),
+    ("(O,o,1; m=2 | -, (3,2), (6,1), (8,3), (10,3), (10,3), (12,5))",
+     "Z^5 + Z/2 + Z/2 + Z/6 + Z/60"),
 ])
 def test_first_homology_of_entangled_side_rows(text, h1):
     p = pi1_presentation(parse_symbol(text))
