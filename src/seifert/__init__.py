@@ -27,7 +27,7 @@ from .groups import (AbelianGroup, EnumerationResult, FuchsianSignature,
                      coset_enumerate, first_homology, fuchsian_euler,
                      fuchsian_quotient, fuchsian_size_class,
                      pi1_presentation, presentation_text,
-                     signature_of_symbol, triangle_info,
+                     presentation_texts, signature_of_symbol, triangle_info,
                      triangle_presentation)
 from .lens import (GluingMatrix, LensParams, Recognition, fibering_transform,
                    is_platonic_triple, lens_equivalent, lens_normalize,

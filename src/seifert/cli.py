@@ -23,8 +23,7 @@ from .covers import euler_sum, fiberless_cover, orientable_double_cover
 from .errors import (InputError, LimitTooSmall, NotClosedOriented,
                      OutputTooLong, PreconditionError, SeifertError)
 from .fst import HomeoMode, fst_equivalent, fst_normalize, lift_fiber
-from .groups import (_quotient_by_h, first_homology, fuchsian_quotient,
-                     pi1_presentation, presentation_text)
+from .groups import first_homology, presentation_texts
 from .lens import GluingMatrix, fibering_transform, lens_normalize
 from .symbol import (EquivalenceMode, normalize_symbol, parse_symbol,
                      render_symbol, reverse_orientation, symbols_equivalent)
@@ -55,7 +54,7 @@ def build_report(text: str, max_cosets: int = 100000) -> dict:
     s = parse_symbol(text)
     ns = normalize_symbol(s)
     pred = predicates(ns)
-    pi1 = pi1_presentation(ns)
+    pi1, fuchsian = presentation_texts(ns)
     try:
         es = _frac(euler_sum(ns).value)
     except NotClosedOriented:
@@ -68,8 +67,8 @@ def build_report(text: str, max_cosets: int = 100000) -> dict:
         "normalized": render_symbol(ns),
         "class_label": f"({ns.class_part.text()})",
         "predicates": pred_dict,
-        "pi1": presentation_text(pi1),
-        "fuchsian": presentation_text(_quotient_by_h(pi1)),
+        "pi1": pi1,
+        "fuchsian": fuchsian,
         "h1": first_homology(ns).describe(),
         "euler_sum": es,
         "recognition": pred.named,
@@ -246,11 +245,9 @@ def _dispatch(args) -> int:
     if cmd == "group":
         s = parse_symbol(args.symbol)
         kind = args.group_kind
-        if kind == "pi1":
-            print(presentation_text(pi1_presentation(s)))
-            return 0
-        if kind == "fuchsian":
-            print(presentation_text(fuchsian_quotient(s)))
+        if kind in ("pi1", "fuchsian"):
+            pi1, fuchsian = presentation_texts(s)
+            print(pi1 if kind == "pi1" else fuchsian)
             return 0
         if kind == "h1":
             print(first_homology(s).describe())

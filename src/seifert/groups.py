@@ -4,9 +4,13 @@ The group of a fibered space is generated by a central-up-to-sign fiber
 class h, the orbit surface generators, one loop per exceptional fiber and
 one per boundary component. Deleting h gives the Fuchsian quotient, the
 group of the orbit 2-orbifold, and that is how its presentation is
-computed. first_homology reads H1 off the symbol by folding the fibers
-into a core of bounded size. abelianization, by Smith normal form of any
-presentation's exponent sums, is the general tool and its test oracle.
+computed. presentation_texts writes the text of both presentations, as a
+report prints them, straight from the normal form; pi1_presentation,
+fuchsian_quotient and presentation_text build and render the Presentation
+values and are its test oracle. first_homology reads H1 off the symbol by
+folding the fibers into a core of bounded size. abelianization, by Smith
+normal form of any presentation's exponent sums, is the general tool and
+its test oracle.
 A coset enumerator decides finiteness within a coset budget; it is library
 API and the test oracle for the closed-form group order of
 topology.classify_small, and the command line does not run it.
@@ -153,17 +157,10 @@ def pi1_presentation(s: SeifertSymbol) -> Presentation:
     s = normalize_symbol(s)
     cp = s.class_part
     pairs = s.expanded_pairs()
-    if cp.orbit == "o":
-        surface = [f"{x}{i}" for i in range(1, cp.genus + 1) for x in "ab"]
-    else:
-        surface = [f"x{i}" for i in range(1, cp.genus + 1)]
+    names, c0 = _generators(s, len(pairs))
     k = _reversing_count(cp)
     # h is generator 0, so the surface generators are 1 .. k .. c0 - 1
-    c0 = 1 + len(surface)
-    klein0 = c0 + len(pairs) + s.boundary_tori
-    boundary = s.boundary_tori + s.boundary_klein
-    names = (["h"] + surface + [f"c{i}" for i in range(1, len(pairs) + 1)]
-             + [f"d{j}" for j in range(1, boundary + 1)])
+    klein0 = len(names) - s.boundary_klein
     relators = [((y, 1), (0, 1), (y, -1), (0, 1 if y <= k or y >= klein0 else -1))
                 for y in range(1, len(names))]
     relators += [_word((c0 + i, p.mu), (0, p.beta)) for i, p in enumerate(pairs)]
@@ -180,6 +177,24 @@ def pi1_presentation(s: SeifertSymbol) -> Presentation:
     return Presentation(tuple(names), tuple(relators))
 
 
+def _generators(s: SeifertSymbol, n: int):
+    """The generator names of a normal form with n fibers, and c1's index.
+
+    The names are h, the orbit-surface generators (a1, b1, a2, ... over an
+    orientable orbit, x1, x2, ... over a non-orientable one), c1 ... cn
+    and one d per boundary component.
+    """
+    cp = s.class_part
+    if cp.orbit == "o":
+        surface = [f"{x}{i}" for i in range(1, cp.genus + 1) for x in "ab"]
+    else:
+        surface = [f"x{i}" for i in range(1, cp.genus + 1)]
+    boundary = s.boundary_tori + s.boundary_klein
+    names = (["h"] + surface + [f"c{i}" for i in range(1, n + 1)]
+             + [f"d{j}" for j in range(1, boundary + 1)])
+    return names, 1 + len(surface)
+
+
 def _reversing_count(cp) -> int:
     """k: how many of the first orbit-surface generators reverse the fiber."""
     if cp.orbit == "o":
@@ -191,8 +206,9 @@ def _long_relator_exponent(s: SeifertSymbol) -> int:
     """The exponent of h that closes the long relator of a closed normal form.
 
     It is b for class O and the b of (b, s) for class N, so the relator
-    reads c1 ... cn h^b. pi1_presentation and first_homology both read it
-    here, which keeps the sign of b in the group in one place.
+    reads c1 ... cn h^b. pi1_presentation, presentation_texts and
+    first_homology all read it here, which keeps the sign of b in the group
+    in one place.
     """
     return s.obstruction if s.class_part.total == "O" else s.obstruction[0]
 
@@ -227,6 +243,51 @@ def _quotient_by_h(p: Presentation) -> Presentation:
         if out:
             relators.append(tuple(out))
     return Presentation(p.generators[1:], tuple(relators))
+
+
+def presentation_texts(s: SeifertSymbol) -> tuple:
+    """(pi1 text, Fuchsian text): presentation_text of pi1_presentation(s)
+    and of fuchsian_quotient(s), written in one pass over the normal form.
+
+    The generators, the reversal count k and the long relator's h exponent
+    come from the helpers pi1_presentation uses. Each conjugation relator
+    is y h y^-1 h^-1, or y h y^-1 h for a reversing generator, and vanishes
+    in the quotient; each pair gives c^mu h^beta, and c^mu in the quotient;
+    the long relator of a closed symbol loses its h tail in the quotient.
+    Raises OutputTooLong when an exponent has too many digits to print.
+    """
+    s = normalize_symbol(s)
+    cp = s.class_part
+    pairs = s.expanded_pairs()
+    names, c0 = _generators(s, len(pairs))
+    k = _reversing_count(cp)
+    klein0 = len(names) - s.boundary_klein
+    cs = names[c0:c0 + len(pairs)]
+    try:
+        rels = [f"{y} h {y}^-1 h" for y in names[1:k + 1]]
+        rels += [f"{y} h {y}^-1 h^-1" for y in names[k + 1:klein0]]
+        rels += [f"{y} h {y}^-1 h" for y in names[klein0:]]
+        quotient = [f"{c}^{p.mu}" for c, p in zip(cs, pairs)]
+        rels += [f"{c} h" if p.beta == 1 else f"{c} h^{p.beta}"
+                 for c, p in zip(quotient, pairs)]
+        if s.is_closed:
+            if cp.orbit == "o":
+                surface = [f"{a} {b} {a}^-1 {b}^-1"
+                           for a, b in zip(names[1:c0:2], names[2:c0:2])]
+            else:
+                surface = [f"{x}^2" for x in names[1:c0]]
+            word = surface + cs
+            if word:
+                quotient.append(" ".join(word))
+            e = _long_relator_exponent(s)
+            if e:
+                word.append("h" if e == 1 else f"h^{e}")
+            if word:
+                rels.append(" ".join(word))
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        raise OutputTooLong() from None
+    return (f"< {', '.join(names)} | {', '.join(rels) or '-'} >",
+            f"< {', '.join(names[1:]) or '-'} | {', '.join(quotient) or '-'} >")
 
 
 def abelianization(p: Presentation) -> AbelianGroup:

@@ -21,7 +21,9 @@ Text form, whitespace ignored:
 Closed symbols of class O carry a plain integer obstruction b; closed class
 N symbols carry (b, s) where b is 0 or 1 and s counts index-2 exceptional
 fibers (a plain integer is accepted on input and read as (b, 0)); bounded
-symbols carry "-".
+symbols carry "-". A "-" that a digit follows, with whitespace between
+them or not, is the sign of b; any other "-" at the head of the tail is the
+bounded marker.
 """
 
 from __future__ import annotations
@@ -207,17 +209,21 @@ class _Scanner:
         return False
 
     def take_int(self, signed=False):
+        """An INT, or a SIGNED_INT whose sign whitespace may follow."""
         self._skip_ws()
         start = self.pos
+        sign = ""
         if signed and self.pos < len(self.text) and self.text[self.pos] in "+-":
+            sign = self.text[self.pos]
             self.pos += 1
+            self._skip_ws()
         digits = self.pos
         while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == digits:
             raise ParseError("expected an integer", start)
         try:
-            return int(self.text[start:self.pos])
+            return int(sign + self.text[digits:self.pos])
         except ValueError:  # past the interpreter's int-to-str digit limit
             raise ParseError(f"integer of {self.pos - digits} digits is too "
                              f"long to convert", start) from None
@@ -273,15 +279,16 @@ def parse_symbol(text: str) -> SeifertSymbol:
     sc.expect("|")
     bounded = boundary_tori > 0 or boundary_klein > 0
     obstruction: object
-    if sc.try_take("-") and sc.peek() not in "0123456789":
+    tail = sc.pos
+    # "-" is the bounded marker unless a digit follows it, as the sign of b
+    if sc.try_take("-") and not "0" <= sc.peek() <= "9":
         obstruction = None
         if not bounded:
             raise ValidityError('obstruction "-" is only for bounded symbols')
     else:
-        if sc.text[sc.pos - 1] == "-":
-            sc.pos -= 1  # it was a sign, not the bounded marker
         if bounded:
             raise ParseError('bounded symbols start the tail with "-"', sc.pos)
+        sc.pos = tail
         if sc.peek() == "(":
             sc.expect("(")
             b = sc.take_int(signed=True)

@@ -146,6 +146,27 @@ def test_report_and_group_h1_do_not_abelianize(capsys, monkeypatch):
     assert (rc, out) == (0, "Z/61\n")
 
 
+def test_report_and_group_texts_build_no_presentation(capsys, monkeypatch):
+    # the pi1 and Fuchsian texts come from groups.presentation_texts; no
+    # Presentation, the general tool and its oracle, is built behind them
+    def refuse(*args):
+        raise AssertionError("Presentation built")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "seifert" and hasattr(module, "Presentation"):
+            monkeypatch.setattr(module, "Presentation", refuse)
+    data = Path(__file__).parent / "data"
+    symbols = (data / "golden_symbols.txt").read_text().splitlines()
+    pinned = (data / "golden_report.jsonl").read_text().splitlines()
+    assert [json.dumps(build_report(s)) for s in symbols] == pinned
+    rc, out, _ = run(capsys, ["group", "pi1", POINCARE_FAMILY])
+    assert (rc, out) == (0, "< h, c1, c2, c3 | c1 h c1^-1 h^-1, c2 h c2^-1 h^-1,"
+                         " c3 h c3^-1 h^-1, c1^2 h, c2^3 h, c3^5 h,"
+                         " c1 c2 c3 h^-1 >\n")
+    rc, out, _ = run(capsys, ["group", "fuchsian", POINCARE_FAMILY])
+    assert (rc, out) == (0, "< c1, c2, c3 | c1^2, c2^3, c3^5, c1 c2 c3 >\n")
+
+
 def test_group_order_budget_exhaustion(capsys):
     rc, out, _ = run(capsys, ["group", "order", HYPERBOLIC,
                               "--max-cosets", "3000"])

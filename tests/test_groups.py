@@ -15,7 +15,7 @@ from seifert import (AbelianGroup, ClassPart, CrossingPair, FuchsianSignature,
                      fuchsian_euler,
                      fuchsian_quotient, fuchsian_size_class, normalize_symbol,
                      parse_symbol, pi1_presentation, presentation_text,
-                     replace, signature_of_symbol, symbols_equivalent,
+                     presentation_texts, replace, signature_of_symbol, symbols_equivalent,
                      triangle_info, triangle_presentation)
 from seifert import groups
 from seifert.groups import _quotient_by_h
@@ -197,6 +197,7 @@ PI1_BY_CLASS = [
 def test_pi1_conjugation_signs_follow_the_class(text, expected):
     p = pi1_presentation(parse_symbol(text))
     assert presentation_text(p) == expected
+    assert presentation_texts(parse_symbol(text))[0] == expected
     # relator y - 1 conjugates h by generator y, in generator order
     for y in range(1, len(p.generators)):
         assert p.relators[y - 1] in (((y, 1), (0, 1), (y, -1), (0, -1)),
@@ -205,6 +206,21 @@ def test_pi1_conjugation_signs_follow_the_class(text, expected):
         assert p.generators == ("h", "a1", "b1")
         assert ((1, 1), (0, 1), (1, -1), (0, 1)) in p.relators
         assert ((2, 1), (0, 1), (2, -1), (0, -1)) in p.relators
+
+
+@settings(max_examples=400)
+@given(st.one_of(fibered_symbols, high_genus_symbols, any_symbols),
+       st.sampled_from([0, 2, 4]), st.sampled_from([0, 10**30 + 1, -10**31]))
+def test_presentation_texts_match_the_presentations(s, klein, shift):
+    # every class, closed and bounded, genus up to 12, up to 12 fibers;
+    # bounded class-N symbols get extra Klein-bottle boundaries, closed
+    # class-O ones an obstruction past 10^30
+    if s.is_bounded and s.class_part.total == "N":
+        s = replace(s, boundary_klein=s.boundary_klein + klein)
+    elif s.is_closed and s.class_part.total == "O":
+        s = replace(s, obstruction=s.obstruction + shift)
+    assert presentation_texts(s) == (presentation_text(pi1_presentation(s)),
+                                     presentation_text(fuchsian_quotient(s)))
 
 
 def test_fuchsian_triangle_quotient():
@@ -394,6 +410,7 @@ def test_long_relator_sign_is_read_in_one_place(monkeypatch):
     s = parse_symbol("(O,o,0 | 1, (2,1), (3,1), (5,1))")
     n = parse_symbol("(N,n,I,1 | (1,0))")
     before = [pi1_presentation(t).relators[-1] for t in (s, n)]
+    texts = [presentation_texts(t) for t in (s, n)]
     h1 = first_homology(s)
     real = groups._long_relator_exponent
     monkeypatch.setattr(groups, "_long_relator_exponent", lambda t: -real(t))
@@ -403,6 +420,14 @@ def test_long_relator_sign_is_read_in_one_place(monkeypatch):
         assert new[-1][1] == -old[-1][1] != 0
     flipped = first_homology(s)
     assert flipped == abelianization(pi1_presentation(s)) != h1
+    # the report's text writer follows: the last syllable of its pi1 text
+    for t, (pi1, fuchsian) in zip((s, n), texts):
+        new_pi1, new_fuchsian = presentation_texts(t)
+        assert new_pi1 == presentation_text(pi1_presentation(t)) != pi1
+        head, last, _ = pi1.rsplit(" ", 2)
+        new_head, new_last, _ = new_pi1.rsplit(" ", 2)
+        assert new_head == head and {last, new_last} == {"h", "h^-1"}
+        assert new_fuchsian == fuchsian
 
 
 # pi1_presentation keeps every boundary generator of a bounded symbol free

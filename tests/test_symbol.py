@@ -52,6 +52,31 @@ def test_parse_whitespace_is_free():
         parse_symbol("(O,o,0 | -1, (2,1))")
 
 
+@pytest.mark.parametrize("spaced, tight", [
+    ("(O,o,0 | - 5)", "(O,o,0 | -5)"),
+    ("(O,o,0 | -\t5, (2,1))", "(O,o,0 | -5, (2,1))"),
+    ("(N,n,I,1 | (- 1, 2))", "(N,n,I,1 | (-1, 2))"),
+    ("(O,o,0 | 0, (3, - 1))", "(O,o,0 | 0, (3, -1))"),
+    ("(O,o,0 | + 5)", "(O,o,0 | 5)"),
+])
+def test_parse_whitespace_after_a_sign_is_free(spaced, tight):
+    assert parse_symbol(spaced) == parse_symbol(tight)
+
+
+def test_parse_signed_obstruction_on_bounded_symbol_is_an_error():
+    with pytest.raises(ParseError) as exc:
+        parse_symbol("(O,o,0; m=1 | - 5)")
+    assert str(exc.value).startswith('bounded symbols start the tail with "-"')
+    assert exc.value.position == 16
+
+
+def test_parse_dash_at_the_end_is_the_bounded_marker():
+    with pytest.raises(ParseError) as exc:
+        parse_symbol("(O,o,0; m=1 | -")
+    assert str(exc.value).startswith("expected ')'")
+    assert exc.value.position == 15
+
+
 def test_parse_rejects_noncoprime_pair():
     with pytest.raises(ValidityError):
         parse_symbol("(O,o,0 | -1, (2,4))")
