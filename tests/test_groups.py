@@ -15,8 +15,8 @@ from seifert import (AbelianGroup, ClassPart, CrossingPair, FuchsianSignature,
                      fuchsian_euler,
                      fuchsian_quotient, fuchsian_size_class, normalize_symbol,
                      parse_symbol, pi1_presentation, presentation_text,
-                     presentation_texts, replace, signature_of_symbol, symbols_equivalent,
-                     triangle_info, triangle_presentation)
+                     presentation_texts, replace, signature_of_symbol,
+                     symbols_equivalent, triangle_info, triangle_presentation)
 from seifert import groups
 from seifert.groups import _quotient_by_h
 import presentation_oracle
