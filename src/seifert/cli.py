@@ -33,10 +33,6 @@ BOUNDED_WARNING = ("bounded symbol: no obstruction slot; comparisons use the "
                    "folded normal form, which identifies fiber-orientation "
                    "reversals along the boundary")
 
-_PREDICATE_KEYS = ("small", "flat", "pi1_finite", "irreducible",
-                   "p2_irreducible", "aspherical", "boundary_irreducible",
-                   "has_incompressible_surface", "named", "notes")
-
 
 def _frac(value: Fraction) -> str:
     try:
@@ -60,7 +56,7 @@ def build_report(text: str, max_cosets: int = 100000) -> dict:
     except NotClosedOriented:
         es = None
     warnings = [BOUNDED_WARNING] if ns.is_bounded else []
-    pred_dict = {k: getattr(pred, k) for k in _PREDICATE_KEYS}
+    pred_dict = pred._asdict()
     pred_dict["notes"] = list(pred.notes)
     return {
         "input": text,
@@ -89,8 +85,7 @@ def _fmt_plain(value) -> str:
 def _print_report_text(rep: dict) -> None:
     for key in ("input", "normalized", "class_label"):
         print(f"{key}: {rep[key]}")
-    for key in _PREDICATE_KEYS:
-        value = rep["predicates"][key]
+    for key, value in rep["predicates"].items():
         if key == "notes":
             for note in value:
                 print(f"note: {note}")

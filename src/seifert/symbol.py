@@ -6,7 +6,10 @@ orientability, a subtype for non-orientable spaces over non-orientable
 orbits, and the genus or crosscap count), the boundary profile (torus and
 Klein bottle counts), the obstruction term, and the list of crossing pairs.
 
-Text form, whitespace ignored:
+Text form, read as tokens: a token is a run of ASCII digits 0-9 or one
+other non-space character. Whitespace separates tokens and is otherwise
+ignored, so "1 0" is two integers while "N , n , I I ," reads as "N,n,II,"
+and "- 5" as -5.
 
     symbol      := "(" class [";" bdry] "|" tail ")"
     class       := ("O,o," | "O,n," | "N,o," | "N,n,I," | "N,n,II," |
@@ -14,8 +17,8 @@ Text form, whitespace ignored:
     bdry        := "m=" INT ["," "kb=" INT]
     tail        := obstruction {"," pair}*
     obstruction := SIGNED_INT | "(" SIGNED_INT "," INT ")" | "-"
-    pair        := "(" INT "," INT ")"
-    INT         := one or more ASCII digits 0-9
+    pair        := "(" SIGNED_INT "," SIGNED_INT ")"
+    INT         := one digit-run token
     SIGNED_INT  := ["+" | "-"] INT
 
 Closed symbols of class O carry a plain integer obstruction b; closed class
@@ -28,6 +31,7 @@ bounded marker.
 
 from __future__ import annotations
 
+import re
 from math import gcd
 
 from ._record import record, replace
@@ -36,6 +40,7 @@ from .errors import InvalidSurface, ModeError, NotOriented, OutputTooLong, \
 from .fst import CrossingPair
 
 _CLASS_HEADS = ("O,o,", "O,n,", "N,o,", "N,n,I,", "N,n,II,", "N,n,III,")
+_TOKEN = re.compile(r"[0-9]+|\S")
 
 
 @record
@@ -180,76 +185,53 @@ class SeifertSymbol:
 # Parsing
 
 
-class _Scanner:
+class _Tokens:
+    """The tokens of a symbol text, an empty string marking the end, and a
+    cursor over them. Text offsets are found only for an error."""
+
     def __init__(self, text):
         self.text = text
-        self.pos = 0
+        self.toks = _TOKEN.findall(text) + [""]
+        self.i = 0
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def error(self, message, at=None):
+        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        starts.append(len(self.text))
+        return ParseError(message, starts[self.i if at is None else at])
 
-    def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
-
-    def expect(self, ch):
-        self._skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def try_take(self, ch):
-        self._skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == ch:
-            self.pos += 1
+    def take(self, tok):
+        if self.toks[self.i] == tok:
+            self.i += 1
             return True
         return False
 
+    def expect(self, tok):
+        if not self.take(tok):
+            raise self.error(f"expected {tok!r}")
+
     def take_int(self, signed=False):
         """An INT, or a SIGNED_INT whose sign whitespace may follow."""
-        self._skip_ws()
-        start = self.pos
+        start = self.i
         sign = ""
-        if signed and self.pos < len(self.text) and self.text[self.pos] in "+-":
-            sign = self.text[self.pos]
-            self.pos += 1
-            self._skip_ws()
-        digits = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        if self.pos == digits:
-            raise ParseError("expected an integer", start)
+        if signed and self.toks[start] in ("+", "-"):
+            sign = self.toks[start]
+            self.i += 1
+        digits = self.toks[self.i]
+        if not "0" <= digits[:1] <= "9":
+            raise self.error("expected an integer", start)
+        self.i += 1
         try:
-            return int(sign + self.text[digits:self.pos])
+            return int(sign + digits)
         except ValueError:  # past the interpreter's int-to-str digit limit
-            raise ParseError(f"integer of {self.pos - digits} digits is too "
-                             f"long to convert", start) from None
+            raise self.error(f"integer of {len(digits)} digits is too long "
+                             f"to convert", start) from None
 
     def take_word(self, words, what):
-        self._skip_ws()
-        # Match keywords even when interior whitespace splits them.
-        for w in sorted(words, key=len, reverse=True):
-            probe = self.pos
-            matched = True
-            for ch in w:
-                while probe < len(self.text) and self.text[probe].isspace():
-                    probe += 1
-                if probe < len(self.text) and self.text[probe] == ch:
-                    probe += 1
-                else:
-                    matched = False
-                    break
-            if matched:
-                self.pos = probe
+        for w in words:
+            if self.toks[self.i:self.i + len(w)] == list(w):
+                self.i += len(w)
                 return w
-        raise ParseError(f"expected {what}", self.pos)
-
-    def at_end(self):
-        self._skip_ws()
-        return self.pos >= len(self.text)
+        raise self.error(f"expected {what}")
 
 
 def parse_symbol(text: str) -> SeifertSymbol:
@@ -261,45 +243,40 @@ def parse_symbol(text: str) -> SeifertSymbol:
     obstruction (the data type cannot hold out-of-range values); the full
     normal form still requires normalize_symbol.
     """
-    sc = _Scanner(text)
+    sc = _Tokens(text)
     sc.expect("(")
     head = sc.take_word(_CLASS_HEADS, "a class like O,o, or N,n,I,")
-    parts = head.split(",")
-    total, orbit = parts[0], parts[1]
-    subtype = parts[2] if len(parts) == 4 else None
+    total, orbit, *rest = head[:-1].split(",")
+    subtype = rest[0] if rest else None
     genus = sc.take_int()
-    boundary_tori = 0
-    boundary_klein = 0
-    if sc.try_take(";"):
+    boundary_tori = boundary_klein = 0
+    if sc.take(";"):
         sc.take_word(("m=",), "m=")
         boundary_tori = sc.take_int()
-        if sc.try_take(","):
+        if sc.take(","):
             sc.take_word(("kb=",), "kb=")
             boundary_klein = sc.take_int()
     sc.expect("|")
     bounded = boundary_tori > 0 or boundary_klein > 0
-    obstruction: object
-    tail = sc.pos
     # "-" is the bounded marker unless a digit follows it, as the sign of b
-    if sc.try_take("-") and not "0" <= sc.peek() <= "9":
+    dash = sc.toks[sc.i] == "-"
+    if dash and not "0" <= sc.toks[sc.i + 1][:1] <= "9":
+        sc.i += 1
         obstruction = None
         if not bounded:
             raise ValidityError('obstruction "-" is only for bounded symbols')
+    elif bounded:  # the error points at b, past any sign
+        raise sc.error('bounded symbols start the tail with "-"', sc.i + dash)
+    elif sc.take("("):
+        b = sc.take_int(signed=True)
+        sc.expect(",")
+        s_count = sc.take_int()
+        sc.expect(")")
+        obstruction = (b, s_count)
     else:
-        if bounded:
-            raise ParseError('bounded symbols start the tail with "-"', sc.pos)
-        sc.pos = tail
-        if sc.peek() == "(":
-            sc.expect("(")
-            b = sc.take_int(signed=True)
-            sc.expect(",")
-            s_count = sc.take_int()
-            sc.expect(")")
-            obstruction = (b, s_count)
-        else:
-            obstruction = sc.take_int(signed=True)
+        obstruction = sc.take_int(signed=True)
     pairs = []
-    while sc.try_take(","):
+    while sc.take(","):
         sc.expect("(")
         mu = sc.take_int(signed=True)
         sc.expect(",")
@@ -311,8 +288,8 @@ def parse_symbol(text: str) -> SeifertSymbol:
             raise ValidityError(f"pair ({mu},{beta}) is not coprime")
         pairs.append((mu, beta))
     sc.expect(")")
-    if not sc.at_end():
-        raise ParseError("trailing text after the symbol", sc.pos)
+    if sc.toks[sc.i]:
+        raise sc.error("trailing text after the symbol")
 
     cp = ClassPart(total, orbit, genus, subtype)
     if not bounded and cp.total == "N" and isinstance(obstruction, int):

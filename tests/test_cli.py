@@ -497,6 +497,22 @@ def test_report_json_is_hash_seed_independent():
     assert outs[0] == outs[1]
 
 
+def test_report_of_the_golden_symbols_without_whitespace():
+    # whitespace only separates tokens: with every space gone, each golden
+    # symbol gives its pinned record in every key but the input
+    data = Path(__file__).parent / "data"
+    symbols = (data / "golden_symbols.txt").read_text().splitlines()
+    pinned = (data / "golden_report.jsonl").read_text().splitlines()
+    assert len(symbols) == len(pinned) == 200
+    for text, line in zip(symbols, pinned):
+        tight = "".join(text.split())
+        want = json.loads(line)
+        got = json.loads(json.dumps(build_report(tight)))
+        assert got.pop("input") == tight
+        want.pop("input")
+        assert got == want, text
+
+
 def test_report_stdin_matches_the_pinned_golden_output():
     data = Path(__file__).parent / "data"
     with open(data / "golden_symbols.txt", "rb") as corpus:

@@ -1,15 +1,17 @@
 """Symbol grammar, normal form, reversal, and class bookkeeping."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
-from seifert import (ClassPart, CrossingPair, EquivalenceMode, InvalidSurface,
-                     ModeError, NotOriented, ParseError, SeifertSymbol,
-                     SurfaceSpec, ValidityError, classifying_classes,
-                     normalize_symbol, parse_symbol, render_symbol,
-                     reverse_orientation, symbols_equivalent,
+import parse_oracle
+from seifert import (ClassPart, CrossingPair, EquivalenceMode, InputError,
+                     InvalidSurface, ModeError, NotOriented, ParseError,
+                     SeifertSymbol, SurfaceSpec, ValidityError,
+                     classifying_classes, normalize_symbol, parse_symbol,
+                     render_symbol, reverse_orientation, symbols_equivalent,
                      total_space_orientability)
-from symbolgen import any_symbols, closed_oriented_symbols
+from symbolgen import (any_symbols, bounded_symbols, closed_oriented_symbols,
+                       fibered_symbols, high_genus_symbols)
 
 
 def canon(text):
@@ -115,6 +117,119 @@ def test_parse_reads_ascii_digits_only(text):
 def test_parse_error_on_truncated_text():
     with pytest.raises(ParseError):
         parse_symbol("(O,o,0 | -1, (2,1)")
+
+
+# every place the parser raises a ParseError
+PARSE_ERROR_SITES = [
+    ("", "expected '('", 0),
+    ("(Q,o,0 | 1)", "expected a class like O,o, or N,n,I,", 1),
+    ("(O,o,0; m 1 | -)", "expected m=", 8),
+    ("(O,o,0; m=1, k=2 | -)", "expected kb=", 13),
+    ("(O,o,1 0 | 0)", "expected '|'", 7),  # whitespace splits an integer
+    ("(N,n,I,1 | (0,-1))", "expected an integer", 14),
+    ("(O,o,0 | 1, (- x,1))", "expected an integer", 13),  # at the sign
+    ("(O,o,0 | 1\u0663)", "expected ')'", 10),  # an ASCII digit run ends
+    ("(O,o,0; m=1 | -\u00b2)", "expected ')'", 15),  # "-" is the marker
+    ("(O,o,0 | " + "9" * 5000 + ")",
+     "integer of 5000 digits is too long to convert", 9),
+    ("(O,o,0; m=1 | 5)", 'bounded symbols start the tail with "-"', 14),
+    ("(O,o,0 | 1) x", "trailing text after the symbol", 12),
+]
+
+
+def _case_id(value):
+    if isinstance(value, str) and len(value) > 60:
+        return f"{value[:12]}...{len(value)} chars"
+    return None
+
+
+@pytest.mark.parametrize("text, message, position", PARSE_ERROR_SITES,
+                         ids=_case_id)
+def test_parse_error_sites(text, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse_symbol(text)
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize("spaced, tight", [
+    ("(N , n , I I I , 3 | (0,1))", "(N,n,III,3 | (0,1))"),
+    ("(N,o,0; m = 0 , k b = 2 | -)", "(N,o,0; m=0, kb=2 | -)"),
+    ("\u3000(O,o,0|\u00a0-\t1)\n", "(O,o,0 | -1)"),
+])
+def test_parse_whitespace_inside_a_keyword_is_free(spaced, tight):
+    assert parse_symbol(spaced) == parse_symbol(tight)
+
+
+# the old character scanner in tests/parse_oracle.py as the oracle
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except InputError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+_EDIT_CHARS = list(" \t\n+-()|,;=0123456789ONIonmkb\u00b2\u0663")
+
+
+@st.composite
+def edited_symbol_texts(draw):
+    """A rendered symbol of any class, closed or bounded, with 1-4 random
+    insertions, deletions or replacements."""
+    text = render_symbol(draw(st.one_of(any_symbols, bounded_symbols,
+                                        fibered_symbols)))
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        c = "" if edit == "delete" else draw(st.sampled_from(_EDIT_CHARS))
+        text = text[:k] + c + text[k + (edit != "insert"):]
+    return text
+
+
+@settings(max_examples=400)
+@given(edited_symbol_texts())
+def test_parse_matches_the_old_scanner(text):
+    assert _outcome(parse_symbol, text) == \
+        _outcome(parse_oracle.parse_symbol, text)
+
+
+@pytest.mark.parametrize("text", [t for t, _, _ in PARSE_ERROR_SITES] + [
+    "(N , n , I I I , 3 | (0,1))", "(O,o,0 | - 5)", "(O,o,0; m=1 | -",
+    "(O,o,0; m=1 | - 5)", "(O,o,0; m=1 | -5)", "(O,o,0 | -)",
+    "(O,o,0 | \u00b2)", "(O,o,0 | \u0663)", "(O,o,0 | -" + "9" * 5000 + ")",
+    "(O,o,0 | 1, (0,1))", "(O,o,0 | 1, (2,4))", "(O,o,0 | (1,0))",
+], ids=_case_id)
+def test_parse_matches_the_old_scanner_on_fixed_cases(text):
+    assert _outcome(parse_symbol, text) == \
+        _outcome(parse_oracle.parse_symbol, text)
+
+
+def _respace(text, rng, digit_runs):
+    """Rendered text with whitespace put at random boundaries: between two
+    digits when digit_runs is set, anywhere else when it is not."""
+    out = []
+    for k in range(len(text) + 1):
+        inside = 0 < k < len(text) and text[k - 1:k + 1].isdigit()
+        if inside == digit_runs and rng.random() < 0.3:
+            out.append(rng.choice((" ", "\t", "\n", "\u00a0", "\u3000")))
+        out.append(text[k:k + 1])
+    return "".join(out)
+
+
+@given(st.one_of(any_symbols, bounded_symbols, fibered_symbols), st.randoms())
+def test_whitespace_between_tokens_leaves_the_value(s, rng):
+    # a class keyword and a signed integer may be split, an integer not
+    assert parse_symbol(_respace(render_symbol(s), rng, False)) == s
+
+
+@given(st.one_of(fibered_symbols, high_genus_symbols), st.randoms())
+def test_whitespace_inside_an_integer_is_a_parse_error(s, rng):
+    text = render_symbol(s)
+    spaced = _respace(text, rng, True)
+    if spaced != text:
+        with pytest.raises(ParseError):
+            parse_symbol(spaced)
 
 
 # rendering
