@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .arith import ReducedFraction
 from .covers import euler_sum, fiberless_cover, orientable_double_cover
-from .errors import (InputError, LimitTooSmall, NotClosedOriented,
-                     OutputTooLong, PreconditionError, SeifertError)
+from .errors import (InputError, LimitTooSmall, OutputTooLong,
+                     PreconditionError, SeifertError)
 from .fst import HomeoMode, fst_equivalent, fst_normalize, lift_fiber
 from .groups import first_homology, presentation_texts
 from .lens import GluingMatrix, fibering_transform, lens_normalize
@@ -51,10 +51,8 @@ def build_report(text: str, max_cosets: int = 100000) -> dict:
     ns = normalize_symbol(s)
     pred = predicates(ns)
     pi1, fuchsian = presentation_texts(ns)
-    try:
-        es = _frac(euler_sum(ns).value)
-    except NotClosedOriented:
-        es = None
+    closed_o = ns.is_closed and ns.class_part.total == "O"
+    es = _frac(euler_sum(ns).value) if closed_o else None
     warnings = [BOUNDED_WARNING] if ns.is_bounded else []
     pred_dict = pred._asdict()
     pred_dict["notes"] = list(pred.notes)

@@ -206,9 +206,10 @@ def _long_relator_exponent(s: SeifertSymbol) -> int:
     """The exponent of h that closes the long relator of a closed normal form.
 
     It is b for class O and the b of (b, s) for class N, so the relator
-    reads c1 ... cn h^b. pi1_presentation, presentation_texts and
-    first_homology all read it here, which keeps the sign of b in the group
-    in one place.
+    reads c1 ... cn h^b. It alone decides the sign of b in the group:
+    pi1_presentation, presentation_texts, first_homology and, for
+    sphere_h1_order and _sewing_q, lens.recognize_S2_symbol,
+    topology.classify_small and topology.predicates look it up at call time.
     """
     return s.obstruction if s.class_part.total == "O" else s.obstruction[0]
 
@@ -607,19 +608,21 @@ def triangle_info(p: int, q: int, r: int) -> TriangleInfo:
     """Classify the triangle group with rotation orders p, q, r.
 
     The group is finite exactly in the spherical case 1/p + 1/q + 1/r > 1,
-    with order 2 / (1/p + 1/q + 1/r - 1). Raises InvalidIndex below 2.
+    with order 2 / (1/p + 1/q + 1/r - 1), 2/chi of the orbifold, computed
+    in integers. Raises InvalidIndex below 2.
     """
     for v in (p, q, r):
         if v < 2:
             raise InvalidIndex(f"triangle index must be >= 2, got {v}")
     indices = tuple(sorted((p, q, r)))
-    total = Fraction(1, p) + Fraction(1, q) + Fraction(1, r)
-    if total > 1:
-        order = Fraction(2) / (total - 1)
-        if order.denominator != 1:
-            raise InternalError(f"spherical triangle group order {order}")
-        return TriangleInfo(indices, "spherical", True, int(order))
-    if total == 1:
+    prod = p * q * r
+    excess = q * r + p * r + p * q - prod  # prod (1/p + 1/q + 1/r - 1)
+    if excess > 0:
+        order, rest = divmod(2 * prod, excess)
+        if rest:
+            raise InternalError(f"triangle group order {2 * prod}/{excess}")
+        return TriangleInfo(indices, "spherical", True, order)
+    if excess == 0:
         return TriangleInfo(indices, "euclidean", False, None)
     return TriangleInfo(indices, "hyperbolic", False, None)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from math import gcd
 
+from . import groups
 from ._record import record
 from .arith import ReducedFraction
 from .errors import BadDeterminant, NotCoprime, ValidityError, WrongBase
@@ -134,9 +135,9 @@ class Recognition:
 def sphere_h1_order(b, pairs) -> int:
     """|H1| determinant for a sphere-base symbol; 0 means infinite.
 
-    The closed form sum(beta_i * prod(mu_j, j != i)) - b * prod(mu_i),
-    in absolute value; agrees with the Smith-form order of the
-    abelianized group.
+    b is the long relator's h exponent (groups._long_relator_exponent);
+    |sum(beta_i * prod(mu_j, j != i)) - b * prod(mu_i)| is the determinant
+    of the abelianized relators, the Smith-form order of the group.
     """
     prod = 1
     for p in pairs:
@@ -147,9 +148,10 @@ def sphere_h1_order(b, pairs) -> int:
 def _sewing_q(b, first, second) -> int:
     """Lens q of the two solid tori around two (mu, beta) fibers.
 
-    With alpha2 u - beta2 v = 1 it is q = alpha1 u + (beta1 - b alpha1) v;
-    another solution (u, v) moves q by a multiple of the homology order,
-    so q is well defined modulo p. A (1, 0) pair stands for no fiber.
+    With b as in sphere_h1_order and alpha2 u - beta2 v = 1 it is
+    q = alpha1 u + (beta1 - b alpha1) v; another solution (u, v) moves q
+    by a multiple of the homology order, so q is well defined modulo p.
+    A (1, 0) pair stands for no fiber.
     """
     (a1, b1), (a2, b2) = first, second
     v = -pow(b2, -1, a2)
@@ -179,8 +181,9 @@ def recognize_S2_symbol(s: SeifertSymbol) -> Recognition:
             return Recognition("Platonic", triple=triple)
         return Recognition("Generic")
     padded = [(c.mu, c.beta) for c in pairs] + [(1, 0)] * (2 - len(pairs))
-    q = _sewing_q(s.obstruction, *padded)
-    p = sphere_h1_order(s.obstruction, pairs)
+    b = groups._long_relator_exponent(s)
+    q = _sewing_q(b, *padded)
+    p = sphere_h1_order(b, pairs)
     if p == 0:
         # b = 0 without fibers, or b = 1 with beta1/mu1 + beta2/mu2 = 1:
         # q = 1 in both cases

@@ -11,6 +11,9 @@ exactly three exceptional fibers, is decided by the first homology.
 
 from __future__ import annotations
 
+from math import prod
+
+from . import groups
 from ._record import record
 from .errors import ExcludedSpace, ValidityError
 from .fst import CrossingPair
@@ -41,19 +44,6 @@ def _is_solid_torus_schema(s: SeifertSymbol) -> bool:
             and s.boundary_klein == 0 and len(s.pairs) <= 1)
 
 
-def _platonic_order(b, pairs) -> int:
-    """|e| (2/chi)^2 over a sphere with a platonic index triple.
-
-    2/chi = 2 prod(mu) / (sum of pairwise products - prod(mu)) is the
-    order N of the triangle group and |e| = |H1| / prod(mu), so the
-    order is |H1| N^2 / prod(mu), in integers throughout.
-    """
-    m1, m2, m3 = (p.mu for p in pairs)
-    prod = m1 * m2 * m3
-    n = 2 * prod // (m1 * m2 + m1 * m3 + m2 * m3 - prod)
-    return sphere_h1_order(b, pairs) * n * n // prod
-
-
 def classify_small(s: SeifertSymbol):
     """Name the space when the Fuchsian quotient is finite, else None.
 
@@ -64,10 +54,12 @@ def classify_small(s: SeifertSymbol):
     is |e| (2/chi)^2. S3 has order 1, a lens space L(p,q) order p.
     Bounded: only the fibered solid torus (disk orbit, at most one
     exceptional fiber). Closed sphere orbits go through lens-space
-    recognition and the platonic triple test. Projective-plane orbits
-    with at most one exceptional fiber (mu, beta) are named by closed
-    forms in t = |b mu - beta|, the sphere_h1_order of the same data
-    (Orlik, Seifert Manifolds, 1972). Non-orientable total spaces have
+    recognition and the platonic triple test; there 2/chi is the order N
+    of the triangle group, so the order is |H1| N^2 / prod(mu).
+    Projective-plane orbits with at most one exceptional fiber (mu, beta)
+    are named by closed forms in t = |x mu - beta|, x the long relator's
+    h exponent: the sphere_h1_order of the same data (Orlik, Seifert
+    Manifolds, 1972). Non-orientable total spaces have
     first homology Z + Z/gcd(2, t): P2xS1 when t is even, the twisted S2
     bundle over S1 when it is odd. Orientable ones are P3#P3 at t = 0;
     otherwise the group has order 4 mu t and its first homology order
@@ -85,8 +77,10 @@ def classify_small(s: SeifertSymbol):
         if rec.kind == "Generic":
             return None
         if rec.kind == "Platonic":
+            n = groups.triangle_info(*rec.triple).order
+            h1 = sphere_h1_order(groups._long_relator_exponent(s), s.pairs)
             return SmallResult("platonic", rec.name(), triple=rec.triple,
-                               order=_platonic_order(s.obstruction, s.pairs))
+                               order=h1 * n * n // prod(rec.triple))
         category = "lens" if rec.kind == "Lens" else rec.kind
         # p = 0 is S2xS1, the one infinite group here
         return SmallResult(category, rec.name(), lens=rec.lens,
@@ -94,8 +88,7 @@ def classify_small(s: SeifertSymbol):
     if cp in (_P2_N, _P2_O) and s.fiber_count <= 1:
         # a missing fiber reads as (1,0), the index-2 count as (2,1)
         (f,) = s.expanded_pairs() or (CrossingPair(1, 0),)
-        b = s.obstruction if cp.total == "O" else s.obstruction[0]
-        t = sphere_h1_order(b, (f,))
+        t = sphere_h1_order(groups._long_relator_exponent(s), (f,))
         if cp == _P2_N:
             if t % 2 == 0:
                 return SmallResult("P2xS1", "P2xS1")
@@ -213,7 +206,8 @@ def predicates(s: SeifertSymbol) -> PredicateReport:
         fin = False
         inc = True
         if s.is_closed and s.class_part == _S2 and len(s.pairs) == 3:
-            inc = sphere_h1_order(s.obstruction, s.pairs) == 0
+            x = groups._long_relator_exponent(s)
+            inc = sphere_h1_order(x, s.pairs) == 0
             notes.append("three-fiber sphere base: incompressible surface "
                          "exists exactly when first homology is infinite")
         return PredicateReport(None, flat, fin, irr, p2, asph, bd, inc,

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from seifert import (AbelianGroup, ClassPart, CrossingPair, FuchsianSignature,
                      IntMatrix, InternalError, InvalidIndex, LimitTooSmall,
                      Presentation, SeifertSymbol, SizeClass, ValidityError,
-                     abelianization, coset_enumerate, first_homology,
-                     fuchsian_euler,
+                     abelianization, classify_small, coset_enumerate,
+                     first_homology, fuchsian_euler,
                      fuchsian_quotient, fuchsian_size_class, normalize_symbol,
-                     parse_symbol, pi1_presentation, presentation_text,
-                     presentation_texts, replace, signature_of_symbol,
+                     parse_symbol, pi1_presentation, predicates,
+                     presentation_text, presentation_texts,
+                     recognize_S2_symbol, render_symbol, replace,
+                     signature_of_symbol,
                      symbols_equivalent, triangle_info, triangle_presentation)
 from seifert import groups
 from seifert.groups import _quotient_by_h
@@ -404,16 +406,42 @@ def test_first_homology_of_entangled_side_rows(text, h1):
     assert first_homology(parse_symbol(text)).describe() == h1
 
 
+# closed sphere-base symbols with 0 to 3 fibers, lens, platonic, Euclidean
+# and hyperbolic, and projective-plane prisms with at most one fiber
+_SIGN_HEADS = ["(O,o,0 | {})", "(O,o,0 | {}, (3,1))", "(O,o,0 | {}, (2,1), (3,2))",
+               "(O,o,0 | {}, (2,1), (3,1), (5,1))", "(O,o,0 | {}, (2,1), (2,1), (7,3))",
+               "(O,o,0 | {}, (2,1), (3,1), (6,1))", "(O,o,0 | {}, (2,1), (3,1), (7,1))",
+               "(O,n,1 | {})", "(O,n,1 | {}, (3,1))", "(O,n,1 | {}, (5,2))"]
+
+
+def _sign_readers(s):
+    """Every output that reads the sign of b in the group."""
+    small = classify_small(s)
+    out = [first_homology(s), presentation_texts(s),
+           predicates(s).has_incompressible_surface,
+           small and (small.name, small.order)]
+    if s.class_part.orbit == "o":
+        out.append(recognize_S2_symbol(s))
+    return out
+
+
 def test_long_relator_sign_is_read_in_one_place(monkeypatch):
-    # pi1_presentation and first_homology take the h exponent of the long
-    # relator from one helper, so flipping it flips both
+    # every reader of the long relator's h exponent takes it from one
+    # helper, so flipping it flips them all: each output on s becomes the
+    # unflipped output on s with b replaced by -b
     s = parse_symbol("(O,o,0 | 1, (2,1), (3,1), (5,1))")
     n = parse_symbol("(N,n,I,1 | (1,0))")
     before = [pi1_presentation(t).relators[-1] for t in (s, n)]
     texts = [presentation_texts(t) for t in (s, n)]
     h1 = first_homology(s)
+    rows = [normalize_symbol(parse_symbol(head.format(b)))
+            for head in _SIGN_HEADS for b in range(-3, 4)]
+    mirrored = [_sign_readers(replace(t, obstruction=-t.obstruction))
+                for t in rows]
     real = groups._long_relator_exponent
     monkeypatch.setattr(groups, "_long_relator_exponent", lambda t: -real(t))
+    for t, expect in zip(rows, mirrored):
+        assert _sign_readers(t) == expect, render_symbol(t)
     after = [pi1_presentation(t).relators[-1] for t in (s, n)]
     for old, new in zip(before, after):
         assert old[:-1] == new[:-1] and old[-1][0] == new[-1][0] == 0

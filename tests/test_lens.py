@@ -14,6 +14,7 @@ from seifert import (BadDeterminant, ClassPart, CrossingPair, GluingMatrix,
                      is_platonic_triple, lens_equivalent, lens_normalize,
                      normalize_symbol, parse_symbol, pi1_presentation,
                      recognize_S2_symbol, sphere_h1_order)
+from seifert.groups import _long_relator_exponent
 from seifert.lens import _sewing_q
 
 _S2 = ClassPart("O", "o", 0)
@@ -35,7 +36,8 @@ def symbols_from_sewing(mat, f):
 
     The transform fixes the listed pairs; the obstruction is only pinned
     by the order of the first homology, so each admissible b yields one
-    candidate. The second torus is sewn in with reversed orientation, so
+    candidate (the range of b is symmetric, so the sign of b in the
+    group does not matter). The second torus is sewn in with reversed orientation, so
     its crossing pair is complemented. The true manifold is
     L(|mat.p|, mat.q) whatever f is.
     """
@@ -50,8 +52,9 @@ def symbols_from_sewing(mat, f):
     p = abs(mat.p)
     out = []
     for b in range(-p - 3, p + 4):
-        if sphere_h1_order(b, pairs) == p:
-            out.append(normalize_symbol(SeifertSymbol(_S2, 0, 0, b, pairs)))
+        s = normalize_symbol(SeifertSymbol(_S2, 0, 0, b, pairs))
+        if sphere_h1_order(_long_relator_exponent(s), s.pairs) == p:
+            out.append(s)
     return out
 
 
@@ -165,7 +168,7 @@ def test_normalize_idempotent_and_canonical(pq):
 def test_sphere_h1_order_matches_smith_form(pairs, b):
     s = sphere_symbol(b, pairs)
     order = abelianization(pi1_presentation(s)).order()
-    assert sphere_h1_order(s.obstruction, s.pairs) == order
+    assert sphere_h1_order(_long_relator_exponent(s), s.pairs) == order
 
 
 # the sewing transform

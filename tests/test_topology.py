@@ -16,6 +16,7 @@ from seifert import (ClassPart, CrossingPair, ExcludedSpace, LensParams,
                      parse_symbol, pi1_presentation, predicates,
                      signature_of_symbol, sphere_h1_order)
 from seifert.cli import run_cli
+from seifert.groups import _long_relator_exponent
 from seifert.topology import _FLAT_BOUNDED_TEXT, _FLAT_CLOSED_TEXT
 from symbolgen import (any_symbols, bounded_symbols, closed_nonorientable_symbols,
                        closed_oriented_symbols)
@@ -138,10 +139,11 @@ def test_projective_closed_forms_match_first_homology(total, pair, b, s_count):
         raw = SeifertSymbol(ClassPart("O", "n", 1), 0, 0, b, pairs)
     s = normalize_symbol(raw)
     assume(s.fiber_count <= 1)
-    # the closed forms read b mu - beta off the normal form, padding (1, 0)
+    # the closed forms read x mu - beta off the normal form, padding (1, 0),
+    # with x the long relator's h exponent
     fibers = s.expanded_pairs()
     mu, beta = (fibers[0].mu, fibers[0].beta) if fibers else (1, 0)
-    t = (s.obstruction if total == "O" else s.obstruction[0]) * mu - beta
+    t = _long_relator_exponent(s) * mu - beta
     h1 = abelianization(pi1_presentation(s))
     res = classify_small(s)
     if total == "N":
@@ -245,7 +247,8 @@ def test_three_fiber_rule_tracks_first_homology():
                 continue
             norm = normalize_symbol(s)
             rep = predicates(s)
-            expect = sphere_h1_order(norm.obstruction, norm.pairs) == 0
+            x = _long_relator_exponent(norm)
+            expect = sphere_h1_order(x, norm.pairs) == 0
             assert rep.has_incompressible_surface == expect, text
 
 

@@ -114,10 +114,14 @@ def main(argv=None) -> int:
     ap.add_argument("--note", default="", help="appended to the machine note")
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
+    seeds = parse_seeds(args.seeds)
+    if len(seeds) * args.pairs < 2:
+        # the quartiles of a single value are undefined
+        ap.error("each workload needs at least two pairs: give more --seeds "
+                 "or --pairs")
 
     commits = {"parent": git("rev-parse", args.parent),
                "change": git("rev-parse", args.change)}
-    seeds = parse_seeds(args.seeds)
     workloads = args.workloads.split(",")
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         dirs = {side: Path(tmp) / side for side in commits}
