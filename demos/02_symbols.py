@@ -49,6 +49,6 @@ surfaces = [
     ("crosscap count 3", SurfaceSpec(orientable=False, genus=3)),
 ]
 for name, spec in surfaces:
-    classes = classifying_classes(spec, closed=True)
+    classes = classifying_classes(spec)
     codes = ", ".join(c.class_code for c in classes)
     print(f"{name}: {len(classes)} class(es): {codes}")

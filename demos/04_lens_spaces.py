@@ -2,13 +2,14 @@
 
 A lens space is two solid tori sewn along their boundaries. This script
 normalizes (p, q) parameters, pushes a fibering through a sewing matrix,
-and runs the recognizer that spots sphere-base symbols with one or two
-exceptional fibers (plus the platonic family with three).
+and runs the recognizer that names sphere-base symbols with one or two
+exceptional fibers (plus the platonic family with three, whose triangle
+group is finite).
 """
 
 from seifert import (GluingMatrix, ReducedFraction, fibering_transform,
-                     is_platonic_triple, lens_equivalent, lens_normalize,
-                     parse_symbol, recognize_S2_symbol)
+                     lens_equivalent, lens_normalize, parse_symbol,
+                     recognize_S2_symbol, triangle_info)
 
 print("== normal forms ==")
 for p, q in [(7, 4), (12, 7), (5, 3), (0, 6), (1, 5), (9, -2)]:
@@ -49,14 +50,14 @@ symbols = [
 ]
 for text in symbols:
     rec = recognize_S2_symbol(parse_symbol(text))
-    label = rec.name() or "generic (not a lens space)"
+    label = rec.name if rec else "generic (not a lens space)"
     print(f"{text:38} -> {label}")
 
 print()
 print("== a witness you can check ==")
 rec = recognize_S2_symbol(parse_symbol("(O,o,0 | -1, (3,1), (4,1))"))
 w = rec.witness
-print(f"{rec.name()} via sewing ({w.q} {w.r}; {w.p} {w.s}), det {w.det}")
+print(f"{rec.name} via sewing ({w.q} {w.r}; {w.p} {w.s}), det {w.det}")
 # the witness completes the left column (q, p) to determinant 1: p is the
 # order of H1, q is the sewing q reduced mod p, and L(19,15) = L(19,4)
 # because 15 = -4 mod 19
@@ -64,5 +65,5 @@ print(f"{rec.name()} via sewing ({w.q} {w.r}; {w.p} {w.s}), det {w.det}")
 print()
 print("== platonic triples ==")
 for triple in [(2, 2, 9), (2, 3, 4), (2, 3, 5), (2, 3, 6), (3, 3, 3)]:
-    verdict = "platonic" if is_platonic_triple(triple) else "not platonic"
+    verdict = "platonic" if triangle_info(*triple).finite else "not platonic"
     print(f"{triple}: {verdict}")

@@ -29,15 +29,15 @@ from .groups import (AbelianGroup, EnumerationResult, FuchsianSignature,
                      pi1_presentation, presentation_text,
                      presentation_texts, signature_of_symbol, triangle_info,
                      triangle_presentation)
-from .lens import (GluingMatrix, LensParams, Recognition, fibering_transform,
-                   is_platonic_triple, lens_equivalent, lens_normalize,
-                   recognize_S2_symbol, sphere_h1_order)
+from .lens import (GluingMatrix, LensParams, SmallResult, fibering_transform,
+                   lens_equivalent, lens_normalize, recognize_S2_symbol,
+                   sphere_h1_order)
 from .symbol import (ClassInfo, ClassPart, EquivalenceMode, SeifertSymbol,
                      SurfaceSpec, classifying_classes, normalize_symbol,
                      parse_symbol, render_symbol, reverse_orientation,
                      symbols_equivalent, total_space_orientability)
-from .topology import (PredicateReport, SmallResult, bounded_equivalent,
-                       classify_small, is_flat, predicates)
+from .topology import (PredicateReport, bounded_equivalent, classify_small,
+                       is_flat, predicates)
 
 __version__ = "0.1.0"
 

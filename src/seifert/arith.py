@@ -77,9 +77,6 @@ class IntMatrix:
         flat = tuple(int(x) for r in rows for x in r)
         return cls(len(rows), ncols, flat)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def to_rows(self):
         c = self.cols
         return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]

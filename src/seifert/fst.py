@@ -84,13 +84,15 @@ def fst_equivalent(t1: FiberedSolidTorus, t2: FiberedSolidTorus,
 
     PRESERVE compares the invariants directly, REVERSE compares against the
     mirror (negated winding), ANY accepts either. Tori built as unoriented
-    are already folded, so for them PRESERVE and ANY agree.
+    are already folded, so for them PRESERVE and ANY agree. The invariants
+    are compared as stored, in the range fst_normalize puts them in: a
+    torus built by hand with a winding outside it, such as 4/3, does not
+    equal its reduction 1/3 here.
     """
-    f1 = reduce_mod1(t1.frac.num, t1.frac.den)
-    f2 = reduce_mod1(t2.frac.num, t2.frac.den)
-    mirror2 = reduce_mod1(-t2.frac.num, t2.frac.den)
+    f1, f2 = t1.frac, t2.frac
     if mode is HomeoMode.PRESERVE:
         return f1 == f2
+    mirror2 = reduce_mod1(-f2.num, f2.den)
     if mode is HomeoMode.REVERSE:
         return f1 == mirror2
     return f1 == f2 or f1 == mirror2

@@ -7,12 +7,14 @@ representative. The sewing matrix also transports a fibering of one
 torus to the other. A symbol over the sphere with at most two
 exceptional fibers is such a sewing, and its (p, q) has a closed form
 (Orlik, Seifert Manifolds, LNM 291, 1972; Jankins-Neumann, Lectures on
-Seifert Manifolds, 1983).
+Seifert Manifolds, 1983). One with three fibers is small exactly when
+its triangle group is finite, a platonic space. Both kinds are named by
+one record, SmallResult, which topology.classify_small also returns.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 from . import groups
 from ._record import record
@@ -98,38 +100,24 @@ def fibering_transform(a: GluingMatrix, f: ReducedFraction):
 
 _S2 = ClassPart("O", "o", 0)
 
-_EXTRA_PLATONIC = frozenset([(2, 3, 3), (2, 3, 4), (2, 3, 5)])
-
-
-def is_platonic_triple(degrees) -> bool:
-    """True for (2,2,r) with r >= 2 and for (2,3,3), (2,3,4), (2,3,5)."""
-    a, b, c = sorted(degrees)
-    return (a, b) == (2, 2) or (a, b, c) in _EXTRA_PLATONIC
-
 
 @record
-class Recognition:
-    """Outcome of recognizing a closed symbol over the sphere.
+class SmallResult:
+    """A recognized small space: category key plus display name.
 
-    kind is one of S3, S2xS1, Lens, Platonic, Generic. Lens outcomes
-    carry canonical parameters and a witnessing sewing matrix with left
-    column (q, p) (S3 and S2xS1 carry them too, as L(1,0) and L(0,0)).
-    Platonic carries the sorted index triple.
+    order is the order of the fundamental group, None when it is infinite.
+    A lens space carries its canonical parameters in lens, a platonic
+    space its sorted index triple; a lens space, S3 or S2xS1 recognized
+    over the sphere carries in witness a sewing matrix with left column
+    (q, p).
     """
 
-    kind: str
+    category: str
+    name: str
     lens: LensParams | None = None
     triple: tuple | None = None
+    order: int | None = None
     witness: GluingMatrix | None = None
-
-    def name(self) -> str | None:
-        if self.kind in ("S3", "S2xS1"):
-            return self.kind
-        if self.kind == "Lens":
-            return self.lens.display()
-        if self.kind == "Platonic":
-            return "platonic ({},{},{})".format(*self.triple)
-        return None
 
 
 def sphere_h1_order(b, pairs) -> int:
@@ -159,29 +147,35 @@ def _sewing_q(b, first, second) -> int:
     return a1 * u + (b1 - b * a1) * v
 
 
-def recognize_S2_symbol(s: SeifertSymbol) -> Recognition:
-    """Recognize a closed symbol over the sphere.
+def recognize_S2_symbol(s: SeifertSymbol) -> SmallResult | None:
+    """Name a closed symbol over the sphere when it is small, else None.
 
     At most two exceptional fibers means a lens space L(p, q), read off
     the sewing of the two solid tori around the fibers (padded with
     (1, 0) where a fiber is missing): p is the order of the first
     homology (0 meaning infinite, hence S2xS1; 1 meaning S3) and q is
     the sewing q reduced mod p. The witness is the determinant +1
-    completion of the left column (q, p). Three fibers with a platonic
-    index triple give Platonic; anything else is Generic. Raises
-    WrongBase away from the closed sphere orbit.
+    completion of the left column (q, p). Three fibers whose triangle
+    group is finite, of order N = 2/chi, give a platonic space of order
+    |H1| N^2 / prod(mu); anything else is not small. Raises WrongBase
+    away from the closed sphere orbit.
     """
     s = normalize_symbol(s)
     if s.class_part != _S2 or not s.is_closed:
         raise WrongBase("recognition needs a closed symbol with orbit (O,o,0)")
     pairs = s.pairs
-    if len(pairs) >= 3:
-        triple = tuple(sorted(p.mu for p in pairs))
-        if len(pairs) == 3 and is_platonic_triple(triple):
-            return Recognition("Platonic", triple=triple)
-        return Recognition("Generic")
-    padded = [(c.mu, c.beta) for c in pairs] + [(1, 0)] * (2 - len(pairs))
+    if len(pairs) > 3:
+        return None
     b = groups._long_relator_exponent(s)
+    if len(pairs) == 3:
+        tri = groups.triangle_info(*(p.mu for p in pairs))
+        if not tri.finite:
+            return None
+        h1 = sphere_h1_order(b, pairs)
+        return SmallResult("platonic", "platonic ({},{},{})".format(*tri.indices),
+                           triple=tri.indices,
+                           order=h1 * tri.order ** 2 // prod(tri.indices))
+    padded = [(c.mu, c.beta) for c in pairs] + [(1, 0)] * (2 - len(pairs))
     q = _sewing_q(b, *padded)
     p = sphere_h1_order(b, pairs)
     if p == 0:
@@ -193,8 +187,7 @@ def recognize_S2_symbol(s: SeifertSymbol) -> Recognition:
         inv = pow(q, -1, p)
         mat = GluingMatrix(q, (q * inv - 1) // p, p, inv)
     params = lens_normalize(p, q)
-    if p == 0:
-        return Recognition("S2xS1", lens=params, witness=mat)
-    if p == 1:
-        return Recognition("S3", lens=params, witness=mat)
-    return Recognition("Lens", lens=params, witness=mat)
+    name = params.display()
+    # p = 0 is S2xS1, the one infinite group here
+    return SmallResult("lens" if p > 1 else name, name, lens=params,
+                       order=p or None, witness=mat)

@@ -173,13 +173,6 @@ class SeifertSymbol:
         return tuple(sorted([CrossingPair(2, 1)] * extra + list(self.pairs),
                             key=lambda p: (p.mu, p.beta)))
 
-    def orbit_chi(self) -> int:
-        g = self.class_part.genus
-        m = self.boundary_tori + self.boundary_klein
-        if self.class_part.orbit == "o":
-            return 2 - 2 * g - m
-        return 2 - g - m
-
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -448,17 +441,13 @@ class ClassInfo:
     description: str
 
 
-def classifying_classes(g: SurfaceSpec, closed: bool = True):
+def classifying_classes(g: SurfaceSpec):
     """The classes of homomorphisms pi1(G) -> Z/2 up to surface symmetry.
 
     These enumerate circle fibrations over G by how fiber orientation
     behaves along loops. A bounded surface reduces to its capped-off
     closed surface, so the result depends only on orientability and genus.
     """
-    if closed and g.boundary > 0:
-        raise InvalidSurface("closed flag set but the surface has boundary")
-    if not closed and g.boundary == 0:
-        raise InvalidSurface("bounded flag set but the surface is closed")
     if g.orientable:
         if g.genus == 0:
             return (ClassInfo("trivial", "O,o",

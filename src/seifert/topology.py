@@ -11,13 +11,12 @@ exactly three exceptional fibers, is decided by the first homology.
 
 from __future__ import annotations
 
-from math import prod
-
 from . import groups
 from ._record import record
 from .errors import ExcludedSpace, ValidityError
 from .fst import CrossingPair
-from .lens import _S2, lens_normalize, recognize_S2_symbol, sphere_h1_order
+from .lens import (_S2, SmallResult, lens_normalize, recognize_S2_symbol,
+                   sphere_h1_order)
 from .symbol import (ClassPart, EquivalenceMode, SeifertSymbol, normalize_symbol,
                      parse_symbol, symbols_equivalent)
 
@@ -25,26 +24,12 @@ _P2_N = ClassPart("N", "n", 1, "I")
 _P2_O = ClassPart("O", "n", 1)
 
 
-@record
-class SmallResult:
-    """A recognized small space: category key plus display name.
-
-    order is the order of the fundamental group, None when it is infinite.
-    """
-
-    category: str
-    name: str
-    lens: object = None
-    triple: tuple | None = None
-    order: int | None = None
-
-
 def _is_solid_torus_schema(s: SeifertSymbol) -> bool:
     return (s.is_bounded and s.class_part == _S2 and s.boundary_tori == 1
             and s.boundary_klein == 0 and len(s.pairs) <= 1)
 
 
-def classify_small(s: SeifertSymbol):
+def classify_small(s: SeifertSymbol) -> SmallResult | None:
     """Name the space when the Fuchsian quotient is finite, else None.
 
     The result carries the order of the fundamental group, None when it
@@ -53,9 +38,10 @@ def classify_small(s: SeifertSymbol):
     The geometries of 3-manifolds, 1983, section 3), and then the order
     is |e| (2/chi)^2. S3 has order 1, a lens space L(p,q) order p.
     Bounded: only the fibered solid torus (disk orbit, at most one
-    exceptional fiber). Closed sphere orbits go through lens-space
-    recognition and the platonic triple test; there 2/chi is the order N
-    of the triangle group, so the order is |H1| N^2 / prod(mu).
+    exceptional fiber). Closed sphere orbits are named by
+    lens.recognize_S2_symbol, which returns this record: lens spaces by
+    their sewing, platonic spaces by a finite triangle group, whose order
+    N is 2/chi, so the order is |H1| N^2 / prod(mu).
     Projective-plane orbits with at most one exceptional fiber (mu, beta)
     are named by closed forms in t = |x mu - beta|, x the long relator's
     h exponent: the sphere_h1_order of the same data (Orlik, Seifert
@@ -73,18 +59,7 @@ def classify_small(s: SeifertSymbol):
             return SmallResult("fibered-solid-torus", "fibered solid torus")
         return None
     if cp == _S2:
-        rec = recognize_S2_symbol(s)
-        if rec.kind == "Generic":
-            return None
-        if rec.kind == "Platonic":
-            n = groups.triangle_info(*rec.triple).order
-            h1 = sphere_h1_order(groups._long_relator_exponent(s), s.pairs)
-            return SmallResult("platonic", rec.name(), triple=rec.triple,
-                               order=h1 * n * n // prod(rec.triple))
-        category = "lens" if rec.kind == "Lens" else rec.kind
-        # p = 0 is S2xS1, the one infinite group here
-        return SmallResult(category, rec.name(), lens=rec.lens,
-                           order=rec.lens.p or None)
+        return recognize_S2_symbol(s)
     if cp in (_P2_N, _P2_O) and s.fiber_count <= 1:
         # a missing fiber reads as (1,0), the index-2 count as (2,1)
         (f,) = s.expanded_pairs() or (CrossingPair(1, 0),)

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 
 from seifert import (AlreadyOrientable, IndexNotDivisible, NotClosed,
                      NotClosedOriented, OddEulerCharacteristic, QuotientFinite,
-                     ValidityError, euler_sum, fiberless_cover,
+                     ValidityError, euler_sum, fiberless_cover, fuchsian_euler,
                      orientable_double_cover, parse_symbol, render_symbol,
-                     reverse_orientation, suggest_cover_sheets)
+                     reverse_orientation, signature_of_symbol,
+                     suggest_cover_sheets)
 
 from symbolgen import closed_nonorientable_symbols, closed_oriented_symbols
 
@@ -91,7 +92,8 @@ def test_double_cover_shape(s):
         lifted[(p.mu, p.beta)] += 1
         lifted[(p.mu, p.mu - p.beta)] += 1
     assert Counter((p.mu, p.beta) for p in cover.pairs) == lifted
-    assert cover.orbit_chi() == 2 * s.orbit_chi()
+    assert (fuchsian_euler(signature_of_symbol(cover))
+            == 2 * fuchsian_euler(signature_of_symbol(s)))
 
 
 @given(closed_nonorientable_symbols)

@@ -1,5 +1,6 @@
 """Fibered solid torus invariants, crossings, and lifting arithmetic."""
 
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -10,7 +11,7 @@ from seifert import (BoundaryClass, CrossingPair, FiberedSolidTorus, HomeoMode,
                      ReducedFraction, ValidityError, ZeroDenominator,
                      crossing_invariants, fold_crossing, fst_equivalent,
                      fst_normalize, lift_curve, lift_fiber,
-                     meridian_from_crossing)
+                     meridian_from_crossing, reduce_mod1)
 
 
 def reduced_fractions(mu_max=30):
@@ -95,6 +96,41 @@ def test_equivalent_symmetric(f1, f2):
     t1, t2 = FiberedSolidTorus(f1, True), FiberedSolidTorus(f2, True)
     for mode in HomeoMode:
         assert fst_equivalent(t1, t2, mode) == fst_equivalent(t2, t1, mode)
+
+
+# reduce_mod1 is pure, and caching it keeps the pairwise sweep below short
+_reduce = lru_cache(maxsize=None)(reduce_mod1)
+
+
+def re_reducing_equivalent(t1, t2, mode):
+    """fst_equivalent as it was, reducing both stored invariants again."""
+    f1 = _reduce(t1.frac.num, t1.frac.den)
+    f2 = _reduce(t2.frac.num, t2.frac.den)
+    mirror2 = _reduce(-t2.frac.num, t2.frac.den)
+    if mode is HomeoMode.PRESERVE:
+        return f1 == f2
+    if mode is HomeoMode.REVERSE:
+        return f1 == mirror2
+    return f1 == f2 or f1 == mirror2
+
+
+def test_equivalent_matches_the_re_reducing_comparison():
+    tori = {fst_normalize(num, den, oriented)
+            for num in range(-30, 31) for den in range(1, 31)
+            for oriented in (True, False)}
+    for mode in HomeoMode:
+        for t1 in tori:
+            new = [t2 for t2 in tori if fst_equivalent(t1, t2, mode)]
+            old = [t2 for t2 in tori if re_reducing_equivalent(t1, t2, mode)]
+            assert new == old, (t1, mode)
+
+
+def test_equivalent_compares_the_stored_invariants():
+    # a torus built by hand outside [0, 1) is not reduced again
+    odd = FiberedSolidTorus(ReducedFraction(4, 3), True)
+    third = fst_normalize(1, 3, oriented=True)
+    assert not fst_equivalent(odd, third, HomeoMode.PRESERVE)
+    assert re_reducing_equivalent(odd, third, HomeoMode.PRESERVE)
 
 
 def test_crossing_examples():

@@ -1,5 +1,6 @@
 """Lens-space arithmetic and recognition of sphere-base symbols."""
 
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -11,9 +12,9 @@ from seifert import (BadDeterminant, ClassPart, CrossingPair, GluingMatrix,
                      LensParams, NotCoprime, ReducedFraction, SeifertSymbol,
                      ValidityError, WrongBase, abelianization,
                      crossing_invariants, fibering_transform,
-                     is_platonic_triple, lens_equivalent, lens_normalize,
-                     normalize_symbol, parse_symbol, pi1_presentation,
-                     recognize_S2_symbol, sphere_h1_order)
+                     lens_equivalent, lens_normalize, normalize_symbol,
+                     parse_symbol, pi1_presentation, recognize_S2_symbol,
+                     sphere_h1_order, triangle_info)
 from seifert.groups import _long_relator_exponent
 from seifert.lens import _sewing_q
 
@@ -207,27 +208,26 @@ def test_gluing_matrix_rejects_bad_determinant():
 
 
 def test_recognize_trivial_sewings():
-    assert recognize_S2_symbol(parse_symbol("(O,o,0 | 0)")).kind == "S2xS1"
-    assert recognize_S2_symbol(parse_symbol("(O,o,0 | 1)")).kind == "S3"
-    assert recognize_S2_symbol(parse_symbol("(O,o,0 | 1)")).name() == "S3"
+    assert recognize_S2_symbol(parse_symbol("(O,o,0 | 0)")).category == "S2xS1"
+    assert recognize_S2_symbol(parse_symbol("(O,o,0 | 1)")).category == "S3"
+    assert recognize_S2_symbol(parse_symbol("(O,o,0 | 1)")).name == "S3"
 
 
 def test_recognize_platonic_triple():
     rec = recognize_S2_symbol(parse_symbol("(O,o,0 | -1, (2,1), (3,1), (5,1))"))
-    assert rec.kind == "Platonic"
+    assert rec.category == "platonic"
     assert rec.triple == (2, 3, 5)
-    assert rec.name() == "platonic (2,3,5)"
+    assert rec.name == "platonic (2,3,5)"
 
 
 def test_recognize_generic_three_fibers():
     rec = recognize_S2_symbol(parse_symbol("(O,o,0 | -1, (2,1), (3,1), (7,1))"))
-    assert rec.kind == "Generic"
-    assert rec.name() is None
+    assert rec is None
 
 
 def test_recognize_two_fiber_lens():
     rec = recognize_S2_symbol(parse_symbol("(O,o,0 | -1, (2,1), (3,1))"))
-    assert rec.kind == "Lens"
+    assert rec.category == "lens"
     assert rec.lens == LensParams(11, 3)
     assert rec.witness is not None
     assert rec.witness.det in (1, -1)
@@ -243,7 +243,7 @@ def test_recognize_takes_the_obstruction_from_the_symbol():
 
 def test_recognize_single_fiber_sphere():
     rec = recognize_S2_symbol(parse_symbol("(O,o,0 | 0, (3,1))"))
-    assert rec.kind == "S3"
+    assert rec.category == "S3"
 
 
 def test_recognize_rejects_other_bases():
@@ -254,10 +254,11 @@ def test_recognize_rejects_other_bases():
 
 
 def test_platonic_triple_membership():
-    assert is_platonic_triple((2, 2, 9))
-    assert is_platonic_triple((2, 3, 5))
-    assert not is_platonic_triple((2, 3, 6))
-    assert not is_platonic_triple((3, 3, 3))
+    # the oracle is the classical list of spherical triangle groups:
+    # (2,2,r), (2,3,3), (2,3,4) and (2,3,5)
+    for t in combinations_with_replacement(range(2, 41), 3):
+        platonic = t[:2] == (2, 2) or t in {(2, 3, 3), (2, 3, 4), (2, 3, 5)}
+        assert triangle_info(*t).finite == platonic, t
 
 
 @settings(max_examples=60)

@@ -11,7 +11,7 @@ from seifert import (AbelianGroup, BoundaryClass, ClassInfo, ClassPart,
                      CrossingPair, EnumerationResult, EulerSum,
                      FiberedSolidTorus, FiberlessCover, FuchsianSignature,
                      GluingMatrix, IntMatrix, LensParams, PredicateReport,
-                     Presentation, Recognition, ReducedFraction, SeifertSymbol,
+                     Presentation, ReducedFraction, SeifertSymbol,
                      SmallResult, SurfaceSpec, TriangleInfo, ValidityError,
                      normalize_symbol, parse_symbol)
 
@@ -46,10 +46,9 @@ VALUES = [
     (FuchsianSignature, dict(orientable=True, s=2, m=1, degrees=(2, 3))),
     (LensParams, dict(p=5, q=2)),
     (GluingMatrix, dict(q=2, r=1, p=5, s=3)),
-    (Recognition, dict(kind="Lens", lens=LensParams(5, 2), triple=None,
-                       witness=GluingMatrix(2, 1, 5, 3))),
     (SmallResult, dict(category="lens", name="L(5,2)", lens=LensParams(5, 2),
-                       triple=None, order=5)),
+                       triple=None, order=5,
+                       witness=GluingMatrix(2, 1, 5, 3))),
     (PredicateReport, dict(small=None, flat=False, pi1_finite=False,
                            irreducible=True, p2_irreducible=True,
                            aspherical=True, boundary_irreducible=True,
@@ -62,8 +61,8 @@ VALUES = [
 
 
 def test_the_table_covers_every_public_value_class():
-    assert len(VALUES) == 21
-    assert len({cls for cls, _ in VALUES}) == 21
+    assert len(VALUES) == 20
+    assert len({cls for cls, _ in VALUES}) == 20
 
 
 @pytest.mark.parametrize("cls,kwargs", VALUES,

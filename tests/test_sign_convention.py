@@ -12,7 +12,7 @@ strict xfail until item 2 flips groups._long_relator_exponent.
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Verbosity, given, settings
 from hypothesis import strategies as st
 
 from seifert import (ClassPart, CrossingPair, EquivalenceMode, SeifertSymbol,
@@ -36,7 +36,9 @@ sphere_symbols = st.builds(
         SeifertSymbol(ClassPart("O", "o", 0), 0, 0, b, tuple(pairs))),
     st.integers(-5, 5), st.lists(_pairs, max_size=5))
 
-DRAWS = settings(derandomize=True, max_examples=300)
+# quiet: a strict xfail's expected falsification writes no
+# .hypothesis/patches file and loads no patch writer
+DRAWS = settings(derandomize=True, max_examples=300, verbosity=Verbosity.quiet)
 
 
 def h1_order_and_euler(s):

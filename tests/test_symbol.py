@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 import parse_oracle
 from seifert import (ClassPart, CrossingPair, EquivalenceMode, InputError,
-                     InvalidSurface, ModeError, NotOriented, ParseError,
-                     SeifertSymbol, SurfaceSpec, ValidityError,
+                     ModeError, NotOriented, ParseError, SeifertSymbol,
+                     SurfaceSpec, ValidityError,
                      classifying_classes, normalize_symbol, parse_symbol,
                      render_symbol, reverse_orientation, symbols_equivalent,
                      total_space_orientability)
@@ -388,11 +388,12 @@ def test_class_codes_cover_the_symbol_classes():
     assert codes == ["N,n,I", "O,n", "N,n,II", "N,n,III"]
 
 
-def test_classifying_rejects_mismatched_boundary_flag():
-    with pytest.raises(InvalidSurface):
-        classifying_classes(SurfaceSpec(True, 1, 2), closed=True)
-    with pytest.raises(InvalidSurface):
-        classifying_classes(SurfaceSpec(True, 1, 0), closed=False)
+def test_bounded_surfaces_classify_as_their_capped_off_surfaces():
+    for orientable, genus in [(True, 0), (True, 2), (False, 1), (False, 3)]:
+        closed = classifying_classes(SurfaceSpec(orientable, genus, 0))
+        for boundary in (1, 2, 5):
+            assert classifying_classes(
+                SurfaceSpec(orientable, genus, boundary)) == closed
 
 
 def test_total_space_orientability_table():

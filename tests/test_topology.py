@@ -12,9 +12,9 @@ from seifert import (ClassPart, CrossingPair, ExcludedSpace, LensParams,
                      SeifertSymbol, SizeClass, ValidityError, abelianization,
                      bounded_equivalent, classify_small, coset_enumerate,
                      euler_sum, fuchsian_size_class, is_flat,
-                     is_platonic_triple, lens_normalize, normalize_symbol,
-                     parse_symbol, pi1_presentation, predicates,
-                     signature_of_symbol, sphere_h1_order)
+                     lens_normalize, normalize_symbol, parse_symbol,
+                     pi1_presentation, predicates, signature_of_symbol,
+                     sphere_h1_order, triangle_info)
 from seifert.cli import run_cli
 from seifert.groups import _long_relator_exponent
 from seifert.topology import _FLAT_BOUNDED_TEXT, _FLAT_CLOSED_TEXT
@@ -343,13 +343,13 @@ def test_group_order_matches_enumeration(s):
             assert res.category == "P3#P3"
         else:
             assert len(s.pairs) == 3
-            assert not is_platonic_triple([p.mu for p in s.pairs])
+            assert not triangle_info(*(p.mu for p in s.pairs)).finite
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.lists(pairs_up_to(7).filter(lambda p: p.mu > 1), min_size=3,
                 max_size=3).filter(
-                    lambda ps: not is_platonic_triple([p.mu for p in ps])),
+                    lambda ps: not triangle_info(*(p.mu for p in ps)).finite),
        st.integers(-3, 3))
 def test_infinite_groups_with_finite_first_homology_do_not_enumerate(pairs, b):
     s = closed(ClassPart("O", "o", 0), b, pairs)
