@@ -103,7 +103,7 @@ _reduce = lru_cache(maxsize=None)(reduce_mod1)
 
 
 def re_reducing_equivalent(t1, t2, mode):
-    """fst_equivalent as it was, reducing both stored invariants again."""
+    """The comparison that reduces both stored invariants again first."""
     f1 = _reduce(t1.frac.num, t1.frac.den)
     f2 = _reduce(t2.frac.num, t2.frac.den)
     mirror2 = _reduce(-t2.frac.num, t2.frac.den)
