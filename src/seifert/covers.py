@@ -33,14 +33,14 @@ def euler_sum(s: SeifertSymbol) -> EulerSum:
 
     Negates under orientation reversal and multiplies by the sheet
     count under fiberless covers. Raises NotClosedOriented otherwise.
-    Needs no normal form: index-1 pairs are (1,0) and order is free.
+    Needs no normal form: index-1 pairs are (1,0) and order is free. The
+    sum is taken over the lcm of the indices, one Fraction in all.
     """
     if not s.is_closed or s.class_part.total != "O":
         raise NotClosedOriented("euler sum needs a closed symbol of class O")
-    total = Fraction(s.obstruction)
-    for p in s.pairs:
-        total += Fraction(p.beta, p.mu)
-    return EulerSum(total)
+    m = lcm(*[p.mu for p in s.pairs])
+    total = s.obstruction * m + sum(p.beta * (m // p.mu) for p in s.pairs)
+    return EulerSum(Fraction(total, m))
 
 
 _DOUBLE_ORBIT = {

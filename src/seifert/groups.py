@@ -357,7 +357,8 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
       Z/g when its h-entry lies in the ideal generated by its index, the
       h-entries above it, the core's and 2 (when there is a row 2h).
     Only the rest, a few rows on h, y and the unsplit d, reaches the Smith
-    normal form, so the cost is about linear in the fibers.
+    normal form, and a lone column h needs only its gcd, so the cost is
+    about linear in the fibers.
     """
     s = normalize_symbol(s)
     cp = s.class_part
@@ -393,17 +394,21 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
             pure.append(g)
         t = gcd(t, r)
     width = 1 + ycol + len(rest)
-    rows = []
-    for i, (g, r) in enumerate(rest):
-        row = [0] * width
-        row[0], row[1 + ycol + i] = r, g
-        rows.append(row)
-    if closed:
-        rows.append([core] + [-2 * m] * ycol + [0] * len(rest))
-    if two:
-        rows.append([2] + [0] * (width - 1))
-    factors, defect = smith_normal_form(
-        IntMatrix(len(rows), width, tuple(chain.from_iterable(rows))))
+    if width == 1:  # the column h alone: its one invariant factor is a gcd
+        d = gcd(core, two)
+        factors, defect = ((d,), 0) if d else ((), 1)
+    else:
+        rows = []
+        for i, (g, r) in enumerate(rest):
+            row = [0] * width
+            row[0], row[1 + ycol + i] = r, g
+            rows.append(row)
+        if closed:
+            rows.append([core] + [-2 * m] * ycol + [0] * len(rest))
+        if two:
+            rows.append([2] + [0] * (width - 1))
+        factors, defect = smith_normal_form(
+            IntMatrix(len(rows), width, tuple(chain.from_iterable(rows))))
     torsion = _chain(pure + list(factors))
     return AbelianGroup(free + defect, tuple(d for d in torsion if d > 1))
 

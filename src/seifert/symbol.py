@@ -26,7 +26,8 @@ N symbols carry (b, s) where b is 0 or 1 and s counts index-2 exceptional
 fibers (a plain integer is accepted on input and read as (b, 0)); bounded
 symbols carry "-". A "-" that a digit follows, with whitespace between
 them or not, is the sign of b; any other "-" at the head of the tail is the
-bounded marker.
+bounded marker. parse_symbol returns the marked normal form of the text;
+normalize_symbol gives a value built by hand the same form.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .fst import CrossingPair
 
 _CLASS_HEADS = ("O,o,", "O,n,", "N,o,", "N,n,I,", "N,n,II,", "N,n,III,")
 _TOKEN = re.compile(r"[0-9]+|\S")
+_INDEX_TWO = CrossingPair(2, 1)
 
 
 @record
@@ -109,9 +111,10 @@ class SeifertSymbol:
     closed, class N: obstruction is (b, s), b in {0,1}, s >= 0 counting
         index-2 fibers, with b = 0 whenever s > 0 in normal form;
     bounded: obstruction is None.
-    _normal marks a normal form built by normalize_symbol. It is an
-    instance attribute, not a field, so it takes no part in ==, hash or
-    repr, and every new value (the constructor, replace) starts unmarked.
+    _normal marks a normal form built by _normal_form, for parse_symbol and
+    normalize_symbol. It is an instance attribute, not a field, so it takes
+    no part in ==, hash or repr, and every new value (the constructor,
+    replace) starts unmarked.
     """
 
     class_part: ClassPart
@@ -170,7 +173,7 @@ class SeifertSymbol:
         extra = 0
         if self.is_closed and self.class_part.total == "N":
             extra = self.obstruction[1]
-        return tuple(sorted([CrossingPair(2, 1)] * extra + list(self.pairs),
+        return tuple(sorted([_INDEX_TWO] * extra + list(self.pairs),
                             key=lambda p: (p.mu, p.beta)))
 
 
@@ -231,10 +234,9 @@ def parse_symbol(text: str) -> SeifertSymbol:
     """Parse symbol text into a valid SeifertSymbol.
 
     Raises ParseError with the failing position for syntax problems and
-    ValidityError for well-formed but meaningless data. Crossing numbers
-    are stored modulo their index with the carry moved into the
-    obstruction (the data type cannot hold out-of-range values); the full
-    normal form still requires normalize_symbol.
+    ValidityError for well-formed but meaningless data. The value is the
+    marked normal form, equal to normalize_symbol of the data as written
+    and built once, so normalize_symbol returns it unchanged.
     """
     sc = _Tokens(text)
     sc.expect("(")
@@ -285,26 +287,13 @@ def parse_symbol(text: str) -> SeifertSymbol:
         raise sc.error("trailing text after the symbol")
 
     cp = ClassPart(total, orbit, genus, subtype)
-    if not bounded and cp.total == "N" and isinstance(obstruction, int):
-        obstruction = (obstruction, 0)
-    if not bounded and cp.total == "O" and isinstance(obstruction, tuple):
-        raise ValidityError("closed orientable symbols take a plain integer b")
-
-    carry = 0
-    stored = []
-    for mu, beta in pairs:
-        t = beta % mu
-        carry += (beta - t) // mu
-        stored.append(CrossingPair(mu, t))
-    stored.sort(key=lambda p: (p.mu, p.beta))
     if bounded:
-        obstruction = None
+        obstruction = (0, 0)
+    elif isinstance(obstruction, int):
+        obstruction = (obstruction, 0)
     elif cp.total == "O":
-        obstruction = obstruction + carry
-    else:
-        obstruction = (obstruction[0] + carry, obstruction[1])
-    return SeifertSymbol(cp, boundary_tori, boundary_klein, obstruction,
-                         tuple(stored))
+        raise ValidityError("closed orientable symbols take a plain integer b")
+    return _normal_form(cp, boundary_tori, boundary_klein, *obstruction, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +328,8 @@ def render_symbol(s: SeifertSymbol) -> str:
 
 
 def normalize_symbol(s: SeifertSymbol) -> SeifertSymbol:
-    """Put a symbol into its unique normal form.
+    """Put a symbol, for instance one built by hand, into its unique
+    normal form (parse_symbol returns that form already).
 
     Ordinary (index 1) pairs, always (1,0), drop out. Closed class-N
     symbols fold every beta into [0, mu/2], each fold adding one to b (a
@@ -352,32 +342,44 @@ def normalize_symbol(s: SeifertSymbol) -> SeifertSymbol:
     """
     if s._normal:
         return s
-    cp = s.class_part
-    fold = cp.total == "N"
     b, s_count = 0, 0
     if s.is_closed:
-        b, s_count = s.obstruction if fold else (s.obstruction, 0)
-    pairs = []
-    for p in s.pairs:
-        mu, beta = p.mu, p.beta
+        b, s_count = s.obstruction if s.class_part.total == "N" \
+            else (s.obstruction, 0)
+    return _normal_form(s.class_part, s.boundary_tori, s.boundary_klein,
+                        b, s_count, s.pairs)
+
+
+def _normal_form(cp, tori, klein, b, s_count, pairs) -> SeifertSymbol:
+    """The marked normal form of a symbol from its class part, boundary
+    counts, b and s (both read only when closed) and its (mu, beta) pairs,
+    which need only mu >= 1 and gcd(mu, beta) = 1. Each beta is reduced
+    modulo mu with the carry moved into b before the steps of
+    normalize_symbol, so every normal CrossingPair is built once."""
+    closed = not (tori or klein)
+    fold = cp.total == "N"
+    kept = []
+    for mu, beta in pairs:
+        t = beta % mu
+        b += (beta - t) // mu
         if mu == 1:
             continue  # (1,0) is an ordinary fiber
-        if fold and 2 * beta > mu:
-            beta = mu - beta
+        if fold and 2 * t > mu:
+            t = mu - t
             b += 1
-        if fold and mu == 2 and s.is_closed:
+        if fold and mu == 2 and closed:
             s_count += 1
             continue
-        pairs.append(CrossingPair(mu, beta))
-    pairs.sort(key=lambda p: (p.mu, p.beta))
-    if s.is_bounded:
+        kept.append((mu, t))
+    kept.sort()
+    if not closed:
         obstruction = None
-    elif cp.total == "O":
+    elif not fold:
         obstruction = b
     else:
         obstruction = (0 if s_count else b % 2, s_count)
-    ns = SeifertSymbol(cp, s.boundary_tori, s.boundary_klein, obstruction,
-                       tuple(pairs))
+    ns = SeifertSymbol(cp, tori, klein, obstruction,
+                       tuple([CrossingPair(mu, t) for mu, t in kept]))
     object.__setattr__(ns, "_normal", True)
     return ns
 

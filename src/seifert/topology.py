@@ -22,6 +22,7 @@ from .symbol import (ClassPart, EquivalenceMode, SeifertSymbol, normalize_symbol
 
 _P2_N = ClassPart("N", "n", 1, "I")
 _P2_O = ClassPart("O", "n", 1)
+_ORDINARY = CrossingPair(1, 0)
 
 
 def _is_solid_torus_schema(s: SeifertSymbol) -> bool:
@@ -62,7 +63,7 @@ def classify_small(s: SeifertSymbol) -> SmallResult | None:
         return recognize_S2_symbol(s)
     if cp in (_P2_N, _P2_O) and s.fiber_count <= 1:
         # a missing fiber reads as (1,0), the index-2 count as (2,1)
-        (f,) = s.expanded_pairs() or (CrossingPair(1, 0),)
+        (f,) = s.expanded_pairs() or (_ORDINARY,)
         t = sphere_h1_order(groups._long_relator_exponent(s), (f,))
         if cp == _P2_N:
             if t % 2 == 0:

@@ -5,15 +5,18 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seifert import (AlreadyOrientable, IndexNotDivisible, NotClosed,
-                     NotClosedOriented, OddEulerCharacteristic, QuotientFinite,
-                     ValidityError, euler_sum, fiberless_cover, fuchsian_euler,
+from seifert import (AlreadyOrientable, CrossingPair, IndexNotDivisible,
+                     NotClosed, NotClosedOriented, OddEulerCharacteristic,
+                     QuotientFinite, SeifertSymbol, ValidityError, euler_sum,
+                     fiberless_cover, fuchsian_euler,
                      orientable_double_cover, parse_symbol, render_symbol,
                      reverse_orientation, signature_of_symbol,
                      suggest_cover_sheets)
 
-from symbolgen import closed_nonorientable_symbols, closed_oriented_symbols
+from symbolgen import (closed_nonorientable_symbols, closed_oriented_symbols,
+                       fibered_symbols)
 
 
 def sym(text):
@@ -41,6 +44,35 @@ def test_euler_sum_needs_closed_oriented():
 @given(closed_oriented_symbols)
 def test_euler_sum_negates_under_reversal(s):
     assert euler_sum(reverse_orientation(s)).value == -euler_sum(s).value
+
+
+def per_pair_euler_sum(s):
+    total = Fraction(s.obstruction)
+    for p in s.pairs:
+        total += Fraction(p.beta, p.mu)
+    return total
+
+
+@st.composite
+def with_ordinary_pairs(draw, symbols):
+    """A closed class-O symbol with 1-3 (1,0) pairs added, in any order."""
+    s = draw(symbols)
+    pairs = list(s.pairs) + [CrossingPair(1, 0)] * draw(st.integers(1, 3))
+    return SeifertSymbol(s.class_part, 0, 0, s.obstruction,
+                         tuple(draw(st.permutations(pairs))))
+
+
+closed_fibered_oriented = fibered_symbols.filter(
+    lambda s: s.is_closed and s.class_part.total == "O")
+
+
+@settings(max_examples=300)
+@given(st.one_of(closed_oriented_symbols, closed_fibered_oriented,
+                 with_ordinary_pairs(closed_oriented_symbols),
+                 with_ordinary_pairs(closed_fibered_oriented)))
+def test_euler_sum_matches_the_per_pair_sum(s):
+    # one Fraction over the lcm of the indices, which pass 10^30 here
+    assert euler_sum(s).value == per_pair_euler_sum(s)
 
 
 # the orientation double cover

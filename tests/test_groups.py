@@ -406,6 +406,53 @@ def test_first_homology_of_entangled_side_rows(text, h1):
     assert first_homology(parse_symbol(text)).describe() == h1
 
 
+# a one-column core, the column h alone, has one invariant factor: the gcd
+# of the column, read without a Smith normal form
+
+
+@st.composite
+def any_pair(draw):
+    """A pair of index 1 to 30 or past 10^30 with any coprime beta."""
+    mu = draw(st.one_of(st.integers(1, 30), st.integers(10**30, 10**31)))
+    beta = draw(st.integers(0, mu - 1))
+    while gcd(mu, beta) != 1:
+        beta += 1
+    return CrossingPair(mu, beta % mu)
+
+
+# closed (O,o,g) symbols with no fiber or one, any b
+one_column_closed_symbols = st.builds(
+    lambda g, b, pairs: normalize_symbol(
+        SeifertSymbol(ClassPart("O", "o", g), 0, 0, b, tuple(pairs))),
+    st.integers(0, 4), st.one_of(st.integers(-6, 6), st.integers(-10**31, 10**31)),
+    st.lists(any_pair(), max_size=1))
+
+
+@settings(max_examples=300)
+@given(st.one_of(one_column_closed_symbols,
+                 bounded_symbols.filter(lambda s: s.class_part.total == "O")))
+def test_first_homology_of_a_one_column_core_matches_the_oracle(s):
+    assert first_homology(s) == snf_oracle.abelianization(pi1_presentation(s))
+
+
+def test_one_column_cores_reach_no_smith_normal_form(monkeypatch):
+    heads = [ClassPart("O", "o", g) for g in range(3)]
+    rows = [normalize_symbol(SeifertSymbol(cp, 0, 0, b, pairs))
+            for cp in heads for b in range(-3, 4)
+            for pairs in ((), (CrossingPair(1, 0),), (CrossingPair(5, 2),),
+                          (CrossingPair(10**30 + 1, 7),))]
+    rows += [SeifertSymbol(cp, m, 0, None, ())
+             for cp in heads + [ClassPart("O", "n", 1), ClassPart("O", "n", 2)]
+             for m in (1, 2)]
+    want = [snf_oracle.abelianization(pi1_presentation(s)) for s in rows]
+
+    def refuse(m):
+        raise AssertionError(f"Smith normal form of {m}")
+
+    monkeypatch.setattr(groups, "smith_normal_form", refuse)
+    assert [first_homology(s) for s in rows] == want
+
+
 # closed sphere-base symbols with 0 to 3 fibers, lens, platonic, Euclidean
 # and hyperbolic, and projective-plane prisms with at most one fiber
 _SIGN_HEADS = ["(O,o,0 | {})", "(O,o,0 | {}, (3,1))", "(O,o,0 | {}, (2,1), (3,2))",

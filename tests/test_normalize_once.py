@@ -1,9 +1,11 @@
-"""Normalize once: normalize_symbol marks its result and trusts the mark.
+"""Normalize once: parse_symbol and normalize_symbol mark the normal form
+they build, and normalize_symbol trusts the mark.
 
 The mark must be invisible (equality, hashing, repr), must never outlive
 a change of the data (seifert.replace, the constructor), and must
-make every later normalization free, so that a report builds exactly two
-symbols per line: the parse and one normal form.
+make every later normalization free. parse_symbol builds the normal form
+straight from the text, so a report builds exactly one symbol per line,
+and each of its crossing pairs once.
 """
 
 from pathlib import Path
@@ -13,7 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seifert import (CrossingPair, NotClosedOriented, SeifertSymbol,
-                     euler_sum, normalize_symbol, replace, reverse_orientation)
+                     euler_sum, normalize_symbol, parse_symbol, replace,
+                     reverse_orientation)
 from seifert.cli import build_report
 from symbolgen import any_symbols, bounded_symbols, closed_oriented_symbols
 
@@ -58,19 +61,35 @@ oriented_raw = raw_spellings(st.one_of(
     bounded_symbols.filter(lambda s: s.class_part.total == "O")))
 
 
-def test_build_report_builds_two_symbols_per_golden_line(monkeypatch):
+def _count_constructions(monkeypatch, cls):
+    """A list that gets every cls value built from now on."""
     built = []
-    post_init = SeifertSymbol.__post_init__
+    post_init = cls.__post_init__
 
     def counted(self):
         built.append(self)
         post_init(self)
 
-    monkeypatch.setattr(SeifertSymbol, "__post_init__", counted)
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+def test_build_report_builds_one_symbol_per_golden_line(monkeypatch):
+    built = _count_constructions(monkeypatch, SeifertSymbol)
     for line in GOLDEN.read_text().splitlines():
         built.clear()
         build_report(line)
-        assert len(built) == 2, f"{line}: built {len(built)} symbols"
+        assert len(built) == 1, f"{line}: built {len(built)} symbols"
+
+
+def test_build_report_builds_each_normal_pair_once(monkeypatch):
+    lines = GOLDEN.read_text().splitlines()
+    want = [normalize_symbol(parse_symbol(line)).pairs for line in lines]
+    built = _count_constructions(monkeypatch, CrossingPair)
+    for line, pairs in zip(lines, want):
+        built.clear()
+        build_report(line)
+        assert built == list(pairs), f"{line}: built {built}"
 
 
 @given(any_symbols)

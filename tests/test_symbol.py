@@ -161,13 +161,18 @@ def test_parse_whitespace_inside_a_keyword_is_free(spaced, tight):
     assert parse_symbol(spaced) == parse_symbol(tight)
 
 
-# the old character scanner in tests/parse_oracle.py as the oracle
+# the old character scanner in tests/parse_oracle.py, whose value the old
+# parser left for normalize_symbol to finish, as the oracle
 
 def _outcome(parse, text):
     try:
         return parse(text)
     except InputError as exc:
         return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def _oracle_parse(text):
+    return normalize_symbol(parse_oracle.parse_symbol(text))
 
 
 _EDIT_CHARS = list(" \t\n+-()|,;=0123456789ONIonmkb\u00b2\u0663")
@@ -190,8 +195,7 @@ def edited_symbol_texts(draw):
 @settings(max_examples=400)
 @given(edited_symbol_texts())
 def test_parse_matches_the_old_scanner(text):
-    assert _outcome(parse_symbol, text) == \
-        _outcome(parse_oracle.parse_symbol, text)
+    assert _outcome(parse_symbol, text) == _outcome(_oracle_parse, text)
 
 
 @pytest.mark.parametrize("text", [t for t, _, _ in PARSE_ERROR_SITES] + [
@@ -201,8 +205,35 @@ def test_parse_matches_the_old_scanner(text):
     "(O,o,0 | 1, (0,1))", "(O,o,0 | 1, (2,4))", "(O,o,0 | (1,0))",
 ], ids=_case_id)
 def test_parse_matches_the_old_scanner_on_fixed_cases(text):
-    assert _outcome(parse_symbol, text) == \
-        _outcome(parse_oracle.parse_symbol, text)
+    assert _outcome(parse_symbol, text) == _outcome(_oracle_parse, text)
+
+
+# parse_symbol returns the marked normal form: index-1 pairs drop out with
+# their beta carried into b, out-of-range and unsorted pairs are reduced
+# and sorted, class-N betas fold into [0, mu/2] (one to b per fold), closed
+# class-N index-2 pairs move into s, and class-N b is reduced mod 2 and
+# zeroed when s > 0
+@pytest.mark.parametrize("text, normal", [
+    ("(O,o,0 | 1, (1,0), (3,1), (1,2))", "(O,o,0 | 3, (3,1))"),
+    ("(O,o,1 | 0, (5,7), (3,-1))", "(O,o,1 | 0, (3,2), (5,2))"),
+    ("(O,o,0 | 0, (5,1), (3,2), (3,1))", "(O,o,0 | 0, (3,1), (3,2), (5,1))"),
+    ("(O,o,0; m=1 | -, (5,-1), (1,3))", "(O,o,0; m=1 | -, (5,4))"),
+    ("(N,n,I,1 | (0,0), (5,3))", "(N,n,I,1 | (1,0), (5,2))"),
+    ("(N,o,2 | 0, (7,-3), (4,3))", "(N,o,2 | (1,0), (4,1), (7,3))"),
+    ("(N,n,I,1 | (0,0), (2,1), (3,1))", "(N,n,I,1 | (0,1), (3,1))"),
+    ("(N,o,1 | (1,0), (2,-1), (2,3))", "(N,o,1 | (0,2))"),
+    ("(N,o,1 | 5)", "(N,o,1 | (1,0))"),
+    ("(N,n,II,2 | (-3,0), (7,9))", "(N,n,II,2 | (0,0), (7,2))"),
+    ("(N,n,III,3 | (3,0), (1,4), (9,5))", "(N,n,III,3 | (0,0), (9,4))"),
+    ("(N,n,I,1 | (1,2))", "(N,n,I,1 | (0,2))"),
+    ("(N,o,1; m=1 | -, (2,1), (5,4))", "(N,o,1; m=1 | -, (2,1), (5,1))"),
+])
+def test_parse_returns_the_marked_normal_form(text, normal):
+    s = parse_symbol(text)
+    assert s._normal
+    assert render_symbol(s) == normal
+    assert s == _oracle_parse(text)
+    assert normalize_symbol(s) is s
 
 
 def _respace(text, rng, digit_runs):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from seifert import (ClassPart, CrossingPair, ExcludedSpace, LensParams,
                      SeifertSymbol, SizeClass, ValidityError, abelianization,
                      bounded_equivalent, classify_small, coset_enumerate,
-                     euler_sum, fuchsian_size_class, is_flat,
+                     euler_sum, first_homology, fuchsian_size_class, is_flat,
                      lens_normalize, normalize_symbol, parse_symbol,
                      pi1_presentation, predicates, signature_of_symbol,
                      sphere_h1_order, triangle_info)
@@ -356,6 +356,32 @@ def test_infinite_groups_with_finite_first_homology_do_not_enumerate(pairs, b):
     assume(sphere_h1_order(s.obstruction, s.pairs) != 0)
     assert classify_small(s) is None
     assert coset_enumerate(pi1_presentation(s), 5000).outcome == "exceeded"
+
+
+# ROADMAP item 14: the recognizer's group order against first_homology,
+# over the sphere (up to three fibers), the projective plane with either
+# total space, and any closed class-N symbol
+small_space_draws = st.one_of(
+    st.builds(lambda b, pairs: closed(ClassPart("O", "o", 0), b, pairs),
+              st.integers(-6, 6), st.lists(pairs_up_to(13), max_size=3)),
+    projective_symbols,
+    st.builds(lambda b, s_count, pairs: closed(ClassPart("N", "n", 1, "I"),
+                                               (b, s_count), pairs),
+              st.integers(-3, 3), st.integers(0, 1),
+              st.lists(pairs_up_to(13), max_size=1)),
+    closed_nonorientable_symbols)
+
+
+@settings(derandomize=True, max_examples=600)
+@given(small_space_draws)
+def test_small_group_order_is_a_multiple_of_the_h1_order(s):
+    res = classify_small(s)
+    if res is None or res.order is None:
+        return
+    h1 = first_homology(s)
+    assert h1.is_finite and res.order % h1.order() == 0
+    if res.category in ("lens", "S3"):  # a cyclic group is its own H1
+        assert res.order == h1.order()
 
 
 @settings(max_examples=150)
