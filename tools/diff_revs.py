@@ -158,6 +158,8 @@ def compare(texts, dirs) -> dict:
                 if len(examples.setdefault(k, [])) < EXAMPLES:
                     examples[k].append({"input": text, "old": old.get(k),
                                         "new": new.get(k)})
+        for p in procs:  # a worker still writing stops on the closed pipe
+            p.stdout.close()
         codes = [p.wait() for p in procs]
     finally:
         os.unlink(f.name)
