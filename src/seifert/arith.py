@@ -238,21 +238,27 @@ def _chain(factors):
     return [1] * (len(factors) - len(chain)) + chain
 
 
+def _two_row_factors(a):
+    """Invariant factors of a matrix of one or two rows (or columns, as
+    rows: transposing keeps the factors), read from its determinantal
+    divisors: d1 is the gcd of the entries, d1 d2 the gcd of the 2 x 2
+    minors. Zero rows and columns may be present; a zero matrix has none."""
+    d1 = gcd(*a[0], *a[-1])
+    if len(a) == 1 or not d1:
+        return (d1,) if d1 else ()
+    r0, r1 = a
+    n = len(r0)
+    d12 = gcd(*[r0[i] * r1[j] - r0[j] * r1[i]
+                for i in range(n) for j in range(i + 1, n)])
+    return (d1, d12 // d1) if d12 else (d1,)
+
+
 def _core_factors(a):
     """Invariant factors of a dense matrix with no zero row or column."""
     if len(a) > len(a[0]):
         a = [list(col) for col in zip(*a)]
     if len(a) <= 2:
-        # determinantal divisors: d1 is the gcd of the entries, d1 d2 the
-        # gcd of the 2 x 2 minors
-        d1 = gcd(*a[0], *a[-1])
-        if len(a) == 1:
-            return (d1,)
-        r0, r1 = a
-        n = len(r0)
-        d12 = gcd(*[r0[i] * r1[j] - r0[j] * r1[i]
-                    for i in range(n) for j in range(i + 1, n)])
-        return (d1, d12 // d1) if d12 else (d1,)
+        return _two_row_factors(a)
     rank, det = _rank_and_minor(a)
     # Each of d1 ... d_rank divides det, so gcd(pivot, det) recovers it;
     # a pivot never reached, its block 0 mod det, stands for det.

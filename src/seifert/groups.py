@@ -24,7 +24,8 @@ from itertools import chain
 from math import gcd
 
 from ._record import record
-from .arith import IntMatrix, _chain, _xgcd, smith_normal_form
+from .arith import IntMatrix, _chain, _two_row_factors, _xgcd, \
+    smith_normal_form
 from .errors import (InternalError, InvalidIndex, InvalidSurface, LimitTooSmall,
                      OutputTooLong, ValidityError)
 from .symbol import SeifertSymbol, normalize_symbol
@@ -356,9 +357,11 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
     - The side rows form a divisibility chain. A side row splits off as
       Z/g when its h-entry lies in the ideal generated by its index, the
       h-entries above it, the core's and 2 (when there is a row 2h).
-    Only the rest, a few rows on h, y and the unsplit d, reaches the Smith
-    normal form, and a lone column h needs only its gcd, so the cost is
-    about linear in the fibers.
+    What is left is a few rows on h, y and the unsplit d. A core of at
+    most two columns, the usual case, has its factors read from its
+    determinantal divisors (gcds of its entries and of its 2 x 2 minors);
+    only a wider one reaches the Smith normal form. So the cost is about
+    linear in the fibers.
     """
     s = normalize_symbol(s)
     cp = s.class_part
@@ -394,9 +397,12 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
             pure.append(g)
         t = gcd(t, r)
     width = 1 + ycol + len(rest)
-    if width == 1:  # the column h alone: its one invariant factor is a gcd
-        d = gcd(core, two)
-        factors, defect = ((d,), 0) if d else ((), 1)
+    if width <= 2:  # the columns h, then y or d, passed as rows
+        a = [[r for _, r in rest] + [core, two]]
+        if width == 2:
+            a.append([g for g, _ in rest] + [-2 * m * ycol, 0])
+        factors = _two_row_factors(a)
+        defect = width - len(factors)
     else:
         rows = []
         for i, (g, r) in enumerate(rest):

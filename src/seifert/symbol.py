@@ -6,10 +6,12 @@ orientability, a subtype for non-orientable spaces over non-orientable
 orbits, and the genus or crosscap count), the boundary profile (torus and
 Klein bottle counts), the obstruction term, and the list of crossing pairs.
 
-Text form, read as tokens: a token is a run of ASCII digits 0-9 or one
-other non-space character. Whitespace separates tokens and is otherwise
-ignored, so "1 0" is two integers while "N , n , I I ," reads as "N,n,II,"
-and "- 5" as -5.
+Text form: a token is a run of ASCII digits 0-9 or one other non-space
+character. Whitespace separates tokens and is otherwise ignored, so "1 0"
+is two integers while "N , n , I I ," reads as "N,n,II," and "- 5" as -5.
+parse_symbol matches the whole text with one compiled pattern of this
+grammar; a walker over the tokens reads only text the pattern refuses,
+and it alone names the error and its position.
 
     symbol      := "(" class [";" bdry] "|" tail ")"
     class       := ("O,o," | "O,n," | "N,o," | "N,n,I," | "N,n,II," |
@@ -230,6 +232,20 @@ class _Tokens:
         raise self.error(f"expected {what}")
 
 
+# The grammar of the module docstring with whitespace between tokens. No
+# two \s* meet, and every choice but a digit or whitespace run is decided
+# by its first character, so a text the pattern refuses costs linear time.
+_SIGNED = r"(?:([+-])\s*)?([0-9]+)"
+_SYMBOL = re.compile(rf"""\s*\(\s*
+    (O\s*,\s*[on]|N\s*,\s*(?:o|n\s*,\s*I(?:\s*I){{0,2}}))\s*,\s*([0-9]+)
+    (?:\s*;\s*m\s*=\s*([0-9]+)(?:\s*,\s*k\s*b\s*=\s*([0-9]+))?)?
+    \s*\|\s*
+    (?:(-)(?!\s*[0-9]) | \(\s*{_SIGNED}\s*,\s*([0-9]+)\s*\) | {_SIGNED})
+    ((?:\s*,\s*\(\s*(?:[+-]\s*)?[0-9]+\s*,\s*(?:[+-]\s*)?[0-9]+\s*\))*)
+    \s*\)\s*""", re.VERBOSE)
+_PAIR = re.compile(rf"\(\s*{_SIGNED}\s*,\s*{_SIGNED}")
+
+
 def parse_symbol(text: str) -> SeifertSymbol:
     """Parse symbol text into a valid SeifertSymbol.
 
@@ -237,12 +253,45 @@ def parse_symbol(text: str) -> SeifertSymbol:
     ValidityError for well-formed but meaningless data. The value is the
     marked normal form, equal to normalize_symbol of the data as written
     and built once, so normalize_symbol returns it unchanged.
+
+    Well-formed text costs one pattern match and its int conversions.
+    The token walker reads only text the pattern refuses, a bounded symbol
+    that carries a b, and an integer past the int-to-str digit limit: it
+    names the error and its position.
     """
+    m = _SYMBOL.fullmatch(text)
+    if m is None:
+        return _walk_tokens(text)
+    head, genus, tori, klein, dash, b_sign, b, s_count, sign, b_plain, tail = \
+        m.groups("")
+    try:
+        genus, tori, klein = int(genus), int(tori or 0), int(klein or 0)
+        if b_plain:
+            obstruction = int(sign + b_plain)
+        elif b:
+            obstruction = (int(b_sign + b), int(s_count))
+        pairs = [(int(s1 + mu), int(s2 + beta))
+                 for s1, mu, s2, beta in _PAIR.findall(tail)]
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        return _walk_tokens(text)
+    bounded = tori > 0 or klein > 0
+    if dash:
+        obstruction = None
+        _check_marker(bounded)
+    elif bounded:
+        return _walk_tokens(text)
+    for mu, beta in pairs:
+        _check_pair(mu, beta)
+    return _symbol("".join(head.split()), genus, tori, klein, obstruction,
+                   pairs)
+
+
+def _walk_tokens(text):
+    """parse_symbol by a walk over the tokens, the one source of ParseError:
+    it checks each piece as it reads it and raises at the first fault."""
     sc = _Tokens(text)
     sc.expect("(")
     head = sc.take_word(_CLASS_HEADS, "a class like O,o, or N,n,I,")
-    total, orbit, *rest = head[:-1].split(",")
-    subtype = rest[0] if rest else None
     genus = sc.take_int()
     boundary_tori = boundary_klein = 0
     if sc.take(";"):
@@ -258,8 +307,7 @@ def parse_symbol(text: str) -> SeifertSymbol:
     if dash and not "0" <= sc.toks[sc.i + 1][:1] <= "9":
         sc.i += 1
         obstruction = None
-        if not bounded:
-            raise ValidityError('obstruction "-" is only for bounded symbols')
+        _check_marker(bounded)
     elif bounded:  # the error points at b, past any sign
         raise sc.error('bounded symbols start the tail with "-"', sc.i + dash)
     elif sc.take("("):
@@ -277,23 +325,39 @@ def parse_symbol(text: str) -> SeifertSymbol:
         sc.expect(",")
         beta = sc.take_int(signed=True)
         sc.expect(")")
-        if mu < 1:
-            raise ValidityError(f"fiber index must be >= 1, got {mu}")
-        if gcd(mu, beta) != 1:
-            raise ValidityError(f"pair ({mu},{beta}) is not coprime")
+        _check_pair(mu, beta)
         pairs.append((mu, beta))
     sc.expect(")")
     if sc.toks[sc.i]:
         raise sc.error("trailing text after the symbol")
+    return _symbol(head[:-1], genus, boundary_tori, boundary_klein,
+                   obstruction, pairs)
 
-    cp = ClassPart(total, orbit, genus, subtype)
-    if bounded:
+
+def _check_marker(bounded):
+    if not bounded:
+        raise ValidityError('obstruction "-" is only for bounded symbols')
+
+
+def _check_pair(mu, beta):
+    if mu < 1:
+        raise ValidityError(f"fiber index must be >= 1, got {mu}")
+    if gcd(mu, beta) != 1:
+        raise ValidityError(f"pair ({mu},{beta}) is not coprime")
+
+
+def _symbol(head, genus, tori, klein, obstruction, pairs):
+    """The checks left once the pairs are read, in the walker's order, and
+    the marked normal form. head is a class head like "N,n,II"."""
+    total, orbit, *rest = head.split(",")
+    cp = ClassPart(total, orbit, genus, rest[0] if rest else None)
+    if tori or klein:
         obstruction = (0, 0)
     elif isinstance(obstruction, int):
         obstruction = (obstruction, 0)
     elif cp.total == "O":
         raise ValidityError("closed orientable symbols take a plain integer b")
-    return _normal_form(cp, boundary_tori, boundary_klein, *obstruction, pairs)
+    return _normal_form(cp, tori, klein, *obstruction, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -453,6 +453,75 @@ def test_one_column_cores_reach_no_smith_normal_form(monkeypatch):
     assert [first_homology(s) for s in rows] == want
 
 
+# a two-column core, the column h and the column y of a closed
+# non-orientable orbit or the one side row left unsplit, has its invariant
+# factors read from its determinantal divisors, without a Smith normal form
+
+_CLOSED_N_ORBIT = [ClassPart("O", "n", 1), ClassPart("O", "n", 3),
+                   ClassPart("N", "n", 1, "I"), ClassPart("N", "n", 2, "II"),
+                   ClassPart("N", "n", 3, "III")]
+
+
+def _closed(cp, b, pairs):
+    obstruction = b if cp.total == "O" else (b, 0)
+    return normalize_symbol(SeifertSymbol(cp, 0, 0, obstruction, tuple(pairs)))
+
+
+# closed symbols over a non-orientable orbit with no fiber or one, any b
+two_column_closed_symbols = st.builds(
+    _closed, st.sampled_from(_CLOSED_N_ORBIT),
+    st.one_of(st.integers(-6, 6), st.integers(-10**31, 10**31)),
+    st.lists(any_pair(), max_size=1))
+
+
+@st.composite
+def side_row_symbols(draw):
+    """Bounded symbols, and closed ones over an orientable orbit, with two
+    fibers whose indices share a factor: a side row."""
+    g = draw(st.sampled_from((2, 3, 6, 10**30)))
+    pairs = []
+    for _ in range(2):
+        mu = g * draw(st.integers(1, 5))
+        beta = draw(st.integers(1, 10**6))
+        while gcd(mu, beta) != 1:
+            beta += 1
+        pairs.append(CrossingPair(mu, beta % mu))
+    roll = draw(st.integers(0, 3))
+    if roll == 0:
+        return _closed(draw(st.sampled_from((ClassPart("O", "o", 0),
+                                             ClassPart("N", "o", 1)))),
+                       draw(st.integers(-6, 6)), pairs)
+    cp = ClassPart("O", "o", 0) if roll == 1 else ClassPart("O", "n", 1) \
+        if roll == 2 else ClassPart("N", "o", 0)
+    tori, klein = (0, 2) if cp.total == "N" else (1, 0)
+    return normalize_symbol(SeifertSymbol(cp, tori, klein, None, tuple(pairs)))
+
+
+@settings(max_examples=300)
+@given(st.one_of(two_column_closed_symbols, side_row_symbols()))
+def test_first_homology_of_a_two_column_core_matches_the_oracle(s):
+    assert first_homology(s) == snf_oracle.abelianization(pi1_presentation(s))
+
+
+def test_two_column_cores_reach_no_smith_normal_form(monkeypatch):
+    rows = [_closed(cp, b, pairs) for cp in _CLOSED_N_ORBIT
+            for b in range(-3, 4)
+            for pairs in ((), (CrossingPair(3, 1),), (CrossingPair(5, 2),),
+                          (CrossingPair(10**30 + 1, 7),))]
+    rows += [parse_symbol(t) for t in (
+        "(O,o,0 | 0, (4,1), (6,1))", "(O,o,1 | 3, (2,1), (2,1))",
+        "(N,o,1 | (0,0), (4,1), (4,1))", "(O,o,0; m=1 | -, (2,1), (2,1))",
+        "(O,o,0; m=1 | -, (4,1), (6,5))", "(O,n,1; m=1 | -, (9,2), (6,1))",
+        "(N,o,0; m=0, kb=2 | -, (4,1), (6,1))")]
+    want = [snf_oracle.abelianization(pi1_presentation(s)) for s in rows]
+
+    def refuse(m):
+        raise AssertionError(f"Smith normal form of {m}")
+
+    monkeypatch.setattr(groups, "smith_normal_form", refuse)
+    assert [first_homology(s) for s in rows] == want
+
+
 # closed sphere-base symbols with 0 to 3 fibers, lens, platonic, Euclidean
 # and hyperbolic, and projective-plane prisms with at most one fiber
 _SIGN_HEADS = ["(O,o,0 | {})", "(O,o,0 | {}, (3,1))", "(O,o,0 | {}, (2,1), (3,2))",

@@ -1,5 +1,11 @@
 """Symbol grammar, normal form, reversal, and class bookkeeping."""
 
+import contextlib
+import re
+import time
+from pathlib import Path
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +16,7 @@ from seifert import (ClassPart, CrossingPair, EquivalenceMode, InputError,
                      classifying_classes, normalize_symbol, parse_symbol,
                      render_symbol, reverse_orientation, symbols_equivalent,
                      total_space_orientability)
+from seifert import symbol
 from symbolgen import (any_symbols, bounded_symbols, closed_oriented_symbols,
                        fibered_symbols, high_genus_symbols)
 
@@ -261,6 +268,99 @@ def test_whitespace_inside_an_integer_is_a_parse_error(s, rng):
     if spaced != text:
         with pytest.raises(ParseError):
             parse_symbol(spaced)
+
+
+# parse_symbol matches well-formed text with one pattern; the token walker
+# reads only text the pattern refuses, a bounded symbol that carries a b
+# and an integer past the digit limit, and it names every ParseError
+
+ROOT = Path(__file__).resolve().parent.parent
+# a symbol with at most one level of nested parentheses in its tail
+_SYMBOL_TEXT = re.compile(r"\([ON]\s*,[^|()]*\|(?:[^()\n\"'`]|\([^()\n]*\))*\)")
+
+
+def _refuse(text):
+    raise AssertionError(f"the token walker read {text!r}")
+
+
+def _without_walker():
+    return mock.patch.object(symbol, "_walk_tokens", _refuse)
+
+
+def _documented_symbols():
+    """Every symbol text in the golden corpus, the README and the demos
+    that the walker reads to a value."""
+    texts = (ROOT / "tests" / "data" / "golden_symbols.txt").read_text() \
+        .splitlines()
+    for path in [ROOT / "README.md", *sorted((ROOT / "demos").glob("*.py"))]:
+        texts += _SYMBOL_TEXT.findall(path.read_text())
+    out = {}
+    for text in texts:
+        with contextlib.suppress(InputError):
+            out[text] = symbol._walk_tokens(text)
+    return out
+
+
+def test_the_pattern_reads_every_documented_symbol():
+    want = _documented_symbols()
+    assert len(want) >= 230
+    with _without_walker():
+        assert {text: parse_symbol(text) for text in want} == want
+
+
+@settings(max_examples=500, derandomize=True)
+@given(st.one_of(any_symbols, bounded_symbols, fibered_symbols,
+                 high_genus_symbols), st.randoms())
+def test_the_pattern_reads_whitespace_between_tokens(s, rng):
+    text = _respace(render_symbol(s), rng, False)
+    want = symbol._walk_tokens(text)
+    with _without_walker():
+        assert parse_symbol(text) == want == s
+
+
+@settings(max_examples=400)
+@given(edited_symbol_texts())
+def test_the_pattern_reads_every_text_the_walker_reads(text):
+    # no integer here is past the digit limit; an invalid pair before a
+    # syntax error is the walker's to name, so only values are compared
+    want = _outcome(symbol._walk_tokens, text)
+    if isinstance(want, SeifertSymbol):
+        with _without_walker():
+            assert parse_symbol(text) == want
+
+
+@pytest.mark.parametrize("text", [t for t, _, _ in PARSE_ERROR_SITES] + [
+    "(O,o,0; m=1 | - 5)", "(O,o,0; m=1 | -5)", "(O,o,0 | -)",
+    "(O,o,0 | 1, (0,1))", "(O,o,0 | 1, (2,4))", "(O,o,0 | (1,0))",
+    "(O,o,0 | -, (2,4))", "(N,n,III,2 | (0,0), (0,1))",
+    "(O,o,0 | 1, (2,4), (3," + "9" * 5000 + "))",
+    "(O,o,0 | " + "9" * 5000 + ", (2,4))",
+    "(O,o," + "9" * 5000 + " | -)",
+], ids=_case_id)
+def test_parse_errors_are_the_walkers(text):
+    assert _outcome(parse_symbol, text) == _outcome(symbol._walk_tokens, text)
+
+
+_LONG = "(O,o,0 | 0" + ", (2,1)" * 20000
+
+
+@pytest.mark.parametrize("text", [
+    "(O,o,0 |" + " " * 100000 + "1)",
+    "(O,o,0 |" + " " * 100000 + "x)",
+    "(N,n," + " " * 100000 + "I I,2 | (0,0))",
+    "(O,o,0; m=1 |" + " " * 100000 + "-)",
+    "(O,o,0 | 1, (2," + " " * 100000 + "1) x",
+    _LONG + ")",
+    _LONG + " x)",
+    _LONG + ", (2,1)",
+    _LONG + ", (2 1))",
+], ids=_case_id)
+def test_parse_time_is_linear_on_long_input(text):
+    # a pattern in which two \s* meet backtracks quadratically over a
+    # whitespace run: over a minute on the second text
+    start = time.perf_counter()
+    _outcome(parse_symbol, text)
+    assert time.perf_counter() - start < 1
 
 
 # rendering
