@@ -13,10 +13,8 @@ an infinite group.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
 
 from .arith import ReducedFraction
 from .covers import euler_sum, fiberless_cover, orientable_double_cover
@@ -29,9 +27,28 @@ from .symbol import (EquivalenceMode, normalize_symbol, parse_symbol,
                      render_symbol, reverse_orientation, symbols_equivalent)
 from .topology import classify_small, predicates
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+COMMANDS = ("normalize", "report", "equiv", "reverse", "cover", "lens",
+            "group", "fst")
+
+# The json module, imported on first use by _json. It is a module global
+# so that a caller can stand in for it: perfbench/tracing.py times
+# serialization that way.
+json = None
+
 BOUNDED_WARNING = ("bounded symbol: no obstruction slot; comparisons use the "
                    "folded normal form, which identifies fiber-orientation "
                    "reversals along the boundary")
+
+
+def _json():
+    global json
+    if json is None:
+        import json
+    return json
 
 
 def _frac(value: Fraction) -> str:
@@ -95,74 +112,95 @@ def _print_report_text(rep: dict) -> None:
         print(f"warning: {w}")
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(command=None) -> argparse.ArgumentParser:
+    """The argument parser. Given the name of a command, it builds only
+    that command's subparser under the top parser; otherwise (help, an
+    unknown word, no argument) the whole tree. Usage lines list every
+    command either way."""
     top = argparse.ArgumentParser(
         prog="seifert",
         description="Invariant calculus for compact Seifert fibered spaces")
-    sub = top.add_subparsers(dest="command", required=True)
+    if command in COMMANDS:
+        names = (command,)
+        metavar = "{" + ",".join(COMMANDS) + "}"
+    else:
+        # argparse names the choices itself, and names the action
+        # "command" when it is missing
+        names, metavar = COMMANDS, None
+    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("normalize", help="canonical form of a symbol")
-    p.add_argument("symbol")
+    if "normalize" in names:
+        p = sub.add_parser("normalize", help="canonical form of a symbol")
+        p.add_argument("symbol")
 
-    p = sub.add_parser("report", help="full classification report")
-    p.add_argument("symbol", nargs="?")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--stdin", action="store_true",
-                   help="read one symbol per line, emit JSON lines")
+    if "report" in names:
+        p = sub.add_parser("report", help="full classification report")
+        p.add_argument("symbol", nargs="?")
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--stdin", action="store_true",
+                       help="read one symbol per line, emit JSON lines")
 
-    p = sub.add_parser("equiv", help="compare two symbols")
-    p.add_argument("symbol1")
-    p.add_argument("symbol2")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--oriented", action="store_true")
-    mode.add_argument("--unoriented", action="store_true")
+    if "equiv" in names:
+        p = sub.add_parser("equiv", help="compare two symbols")
+        p.add_argument("symbol1")
+        p.add_argument("symbol2")
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument("--oriented", action="store_true")
+        mode.add_argument("--unoriented", action="store_true")
 
-    p = sub.add_parser("reverse", help="orientation reversal")
-    p.add_argument("symbol")
+    if "reverse" in names:
+        p = sub.add_parser("reverse", help="orientation reversal")
+        p.add_argument("symbol")
 
-    p = sub.add_parser("cover", help="cover constructions")
-    csub = p.add_subparsers(dest="cover_kind", required=True)
-    c = csub.add_parser("double", help="orientation double cover")
-    c.add_argument("symbol")
-    c = csub.add_parser("fiberless", help="cover without exceptional fibers")
-    c.add_argument("symbol")
-    c.add_argument("--sheets", type=int, required=True)
+    if "cover" in names:
+        p = sub.add_parser("cover", help="cover constructions")
+        csub = p.add_subparsers(dest="cover_kind", required=True)
+        c = csub.add_parser("double", help="orientation double cover")
+        c.add_argument("symbol")
+        c = csub.add_parser("fiberless",
+                            help="cover without exceptional fibers")
+        c.add_argument("symbol")
+        c.add_argument("--sheets", type=int, required=True)
 
-    p = sub.add_parser("lens", help="lens-space arithmetic")
-    lsub = p.add_subparsers(dest="lens_kind", required=True)
-    l = lsub.add_parser("normalize")
-    l.add_argument("p", type=int)
-    l.add_argument("q", type=int)
-    l = lsub.add_parser("equiv")
-    l.add_argument("p1", type=int)
-    l.add_argument("q1", type=int)
-    l.add_argument("p2", type=int)
-    l.add_argument("q2", type=int)
-    l = lsub.add_parser("fiber")
-    for name in ("q", "r", "p", "s", "nu", "mu"):
-        l.add_argument(name, type=int)
+    if "lens" in names:
+        p = sub.add_parser("lens", help="lens-space arithmetic")
+        lsub = p.add_subparsers(dest="lens_kind", required=True)
+        l = lsub.add_parser("normalize")
+        l.add_argument("p", type=int)
+        l.add_argument("q", type=int)
+        l = lsub.add_parser("equiv")
+        l.add_argument("p1", type=int)
+        l.add_argument("q1", type=int)
+        l.add_argument("p2", type=int)
+        l.add_argument("q2", type=int)
+        l = lsub.add_parser("fiber")
+        for name in ("q", "r", "p", "s", "nu", "mu"):
+            l.add_argument(name, type=int)
 
-    p = sub.add_parser("group", help="fundamental-group computations")
-    gsub = p.add_subparsers(dest="group_kind", required=True)
-    for name in ("pi1", "fuchsian", "h1", "order"):
-        g = gsub.add_parser(name)
-        g.add_argument("symbol")
-        if name == "order":
-            # argparse applies type=int to this string default too
-            g.add_argument("--max-cosets", type=int, default=os.environ.get(
-                "SEIFERT_MAX_COSETS", "100000"))
+    if "group" in names:
+        p = sub.add_parser("group", help="fundamental-group computations")
+        gsub = p.add_subparsers(dest="group_kind", required=True)
+        for name in ("pi1", "fuchsian", "h1", "order"):
+            g = gsub.add_parser(name)
+            g.add_argument("symbol")
+            if name == "order":
+                # argparse applies type=int to this string default too
+                g.add_argument("--max-cosets", type=int,
+                               default=os.environ.get("SEIFERT_MAX_COSETS",
+                                                      "100000"))
 
-    p = sub.add_parser("fst", help="fibered-solid-torus calculators")
-    fsub = p.add_subparsers(dest="fst_kind", required=True)
-    f = fsub.add_parser("equiv")
-    for name in ("nu1", "mu1", "nu2", "mu2"):
-        f.add_argument(name, type=int)
-    mode = f.add_mutually_exclusive_group()
-    mode.add_argument("--reverse", action="store_true")
-    mode.add_argument("--any", action="store_true")
-    f = fsub.add_parser("lift")
-    for name in ("sigma", "nu", "mu"):
-        f.add_argument(name, type=int)
+    if "fst" in names:
+        p = sub.add_parser("fst", help="fibered-solid-torus calculators")
+        fsub = p.add_subparsers(dest="fst_kind", required=True)
+        f = fsub.add_parser("equiv")
+        for name in ("nu1", "mu1", "nu2", "mu2"):
+            f.add_argument(name, type=int)
+        mode = f.add_mutually_exclusive_group()
+        mode.add_argument("--reverse", action="store_true")
+        mode.add_argument("--any", action="store_true")
+        f = fsub.add_parser("lift")
+        for name in ("sigma", "nu", "mu"):
+            f.add_argument(name, type=int)
 
     return top
 
@@ -176,6 +214,7 @@ def _dispatch(args) -> int:
 
     if cmd == "report":
         if args.stdin:
+            dumps = _json().dumps
             for line in sys.stdin:
                 line = line.strip()
                 if not line:
@@ -184,14 +223,14 @@ def _dispatch(args) -> int:
                     rep = build_report(line)
                 except SeifertError as exc:
                     rep = {"input": line, "error": str(exc)}
-                sys.stdout.write(json.dumps(rep) + "\n")
+                sys.stdout.write(dumps(rep) + "\n")
             return 0
         if args.symbol is None:
             print("error: report needs a symbol or --stdin", file=sys.stderr)
             return 2
         rep = build_report(args.symbol)
         if args.json:
-            print(json.dumps(rep, indent=2))
+            print(_json().dumps(rep, indent=2))
         else:
             _print_report_text(rep)
         return 0
@@ -276,8 +315,10 @@ def _dispatch(args) -> int:
 
 
 def run_cli(argv) -> int:
+    """Run one command line and return its exit code; never ends the
+    process."""
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
@@ -291,4 +332,14 @@ def run_cli(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    """The console script: run the command, flush its output, and end the
+    process without interpreter teardown."""
+    code = run_cli(sys.argv[1:])
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor is closed
+                stream.flush()
+    except OSError:
+        # a reader closed the pipe: the interpreter's shutdown reports it
+        sys.exit(code)
+    os._exit(code)

@@ -9,7 +9,6 @@ be chained with everything else in the package.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from ._record import record
@@ -19,6 +18,12 @@ from .errors import (AlreadyOrientable, IndexNotDivisible, InternalError,
 from .groups import (SizeClass, fuchsian_euler, fuchsian_size_class,
                      signature_of_symbol)
 from .symbol import ClassPart, CrossingPair, SeifertSymbol, normalize_symbol
+
+# fractions.Fraction, imported by the first euler_sum call: the module
+# loads decimal and numbers too, which most command lines never use. It
+# is bound here once, since an import statement in the function would
+# cost about 1 us on every call.
+Fraction = None
 
 
 @record
@@ -36,10 +41,13 @@ def euler_sum(s: SeifertSymbol) -> EulerSum:
     Needs no normal form: index-1 pairs are (1,0) and order is free. The
     sum is taken over the lcm of the indices, one Fraction in all.
     """
+    global Fraction
     if not s.is_closed or s.class_part.total != "O":
         raise NotClosedOriented("euler sum needs a closed symbol of class O")
     m = lcm(*[p.mu for p in s.pairs])
     total = s.obstruction * m + sum(p.beta * (m // p.mu) for p in s.pairs)
+    if Fraction is None:
+        from fractions import Fraction
     return EulerSum(Fraction(total, m))
 
 

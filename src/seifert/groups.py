@@ -19,7 +19,6 @@ topology.classify_small, and the command line does not run it.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from itertools import chain
 from math import gcd
 
@@ -29,6 +28,10 @@ from .arith import IntMatrix, _chain, _two_row_factors, _xgcd, \
 from .errors import (InternalError, InvalidIndex, InvalidSurface, LimitTooSmall,
                      OutputTooLong, ValidityError)
 from .symbol import SeifertSymbol, normalize_symbol
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @record
@@ -691,6 +694,7 @@ def signature_of_symbol(s: SeifertSymbol) -> FuchsianSignature:
 
 def fuchsian_euler(sig: FuchsianSignature) -> Fraction:
     """Orbifold Euler characteristic (2 - s - m) - sum(1 - 1/d)."""
+    from fractions import Fraction  # on first use: it loads decimal too
     chi = Fraction(2 - sig.s - sig.m)
     for d in sig.degrees:
         chi -= 1 - Fraction(1, d)

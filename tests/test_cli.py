@@ -13,6 +13,7 @@ import pytest
 
 from seifert import (InternalError, parse_symbol, pi1_presentation,
                      render_symbol, reverse_orientation)
+from seifert import cli
 from seifert.cli import BOUNDED_WARNING, build_report, run_cli
 import snf_oracle
 
@@ -455,6 +456,92 @@ def test_help_and_bad_usage(capsys):
     assert run(capsys, ["--help"])[0] == 0
     assert run(capsys, ["no-such-command"])[0] == 2
     assert run(capsys, [])[0] == 2
+
+
+# run_cli builds only the subparser that argv[0] names; each of these
+# must read exactly as it does when the whole tree parses it
+USAGE_ARGV = [[], ["-h"], ["--help"], ["no-such-command"],
+              ["report", "--help"], ["report", "--bogus"], ["equiv", "x"],
+              ["group", "order", "S", "--max-cosets", "abc"]]
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGV, ids=lambda a: " ".join(a) or "-")
+def test_usage_and_help_match_the_whole_tree(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    monkeypatch.delenv("SEIFERT_MAX_COSETS", raising=False)
+    got = run(capsys, argv)
+    whole = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda command=None: whole())
+    want = run(capsys, argv)
+    assert got == want
+    assert got[0] in (0, 2) and got[1] + got[2]  # help, or a usage error
+
+
+def test_usage_line_lists_every_command(capsys):
+    rc, out, err = run(capsys, ["report", "--bogus"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage: seifert [-h] {%s} ...\n" % ",".join(
+        cli.COMMANDS))
+    choices = cli._parser()._subparsers._group_actions[0].choices
+    assert tuple(choices) == cli.COMMANDS
+
+
+SEIFERT = [sys.executable, "-m", "seifert"]
+GOLDEN = Path(__file__).parent / "data" / "golden_symbols.txt"
+# stdout into a pipe or a file is block-buffered, unless this is set
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def test_normalize_with_stdout_closed_exits_zero():
+    # sys.stdout is None, so print writes nothing and nothing is flushed
+    proc = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *SEIFERT, "normalize",
+                           "(O,o,0 | 0)"],
+                          capture_output=True, text=True, env=BUFFERED)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("argv,head,code", [
+    # about 140 kB of records: a write in the batch loop meets the closed
+    # pipe, and the BrokenPipeError ends the process as an uncaught error
+    (["report", "--stdin"], 10, 1),
+    # the whole output waits in stdout's buffer; the flush at exit fails,
+    # and the interpreter's shutdown reports it with status 120
+    (["report", "--json", POINCARE_FAMILY], 0, 120),
+])
+def test_a_reader_that_closes_the_pipe_early(argv, head, code):
+    with open(GOLDEN, "rb") as corpus:
+        proc = subprocess.Popen([*SEIFERT, *argv], stdin=corpus,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                bufsize=0, env=BUFFERED)
+        assert len(proc.stdout.read(head)) == head
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == code
+    assert "BrokenPipeError" in err
+
+
+def test_report_stdin_into_a_file_writes_every_byte(tmp_path):
+    out = tmp_path / "report.jsonl"
+    with open(GOLDEN, "rb") as corpus, open(out, "wb") as sink:
+        proc = subprocess.run([*SEIFERT, "report", "--stdin"], stdin=corpus,
+                              stdout=sink, stderr=subprocess.PIPE,
+                              env=BUFFERED)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    pinned = GOLDEN.parent / "golden_report.jsonl"
+    assert out.read_bytes() == pinned.read_bytes()
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    (["equiv", "(O,o,0 | 1)", "(O,o,0 | 2)"], 1, "distinct\n", ""),
+    (["report"], 2, "", "error: report needs a symbol or --stdin\n"),
+    (["cover", "double", "(O,o,0 | 1)"], 3, "",
+     "error: double cover needs a class-N symbol\n"),
+])
+def test_exit_codes_of_the_process(argv, code, out, err):
+    proc = subprocess.run([*SEIFERT, *argv], capture_output=True, text=True,
+                          env=BUFFERED)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 def test_module_entry_point_subprocess():

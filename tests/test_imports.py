@@ -54,3 +54,33 @@ def test_cli_start_up_skips_the_dataclass_stack():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_commands_that_print_no_fraction_or_json_load_neither():
+    env = dict(os.environ, PYTHONPATH=str(Path(seifert.__file__).parents[1]))
+    code = (
+        "import contextlib, io, sys\n"
+        "from seifert.cli import run_cli\n"
+        "codes = []\n"
+        "for argv in (['normalize', '(O,o,0 | 0, (3,4))'],\n"
+        "             ['equiv', '(O,o,0 | 1)', '(O,o,0 | -1)'],\n"
+        "             ['group', 'order', '(O,o,0 | -1, (2,1), (3,5))'],\n"
+        "             ['group', 'order', '(O,o,1 | 0)']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(run_cli(argv))\n"
+        "print(*codes, *(m for m in ('fractions', 'decimal', 'json')\n"
+        "                if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "0", "1"]
+
+
+def test_report_json_prints_the_same_bytes(capsys):
+    import json
+    from seifert.cli import build_report, run_cli
+    text = "(O,o,0 | -1, (2,1), (3,1), (5,1))"
+    assert run_cli(["report", "--json", text]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(build_report(text), indent=2) + "\n"
+    assert json.loads(out)["euler_sum"] == "1/30"

@@ -111,7 +111,9 @@ def worker(checkout: Path, mode: str, *args) -> int:
         for _ in range(int(args[1])):
             print(seifert.render_symbol(random_symbol(rng)))
         return 0
-    # one argparse tree for every call; run_cli reads _parser at call time
+    # build each argparse tree once: run_cli reads _parser at call time,
+    # and the cache keeps one tree per argument tuple, so this holds
+    # whether _parser takes no argument (the whole tree) or a command name
     cli._parser = functools.lru_cache(maxsize=None)(cli._parser)
     for text in Path(args[0]).read_text().splitlines():
         rev = _cli_call(cli, ["reverse", text])
