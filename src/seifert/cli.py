@@ -8,16 +8,21 @@ recognition, and an infinite group gets the verdict "not determined within
 N cosets", where N is the coset budget (100000 unless SEIFERT_MAX_COSETS or
 --max-cosets says otherwise); enumeration within any budget never closes on
 an infinite group.
+
+A well-formed command line is read by _read_argv from the table
+_LINES; anything else (help, a usage error, an abbreviated option, a
+negative number) goes to argparse, which _parser builds from the same
+table, so argparse alone writes usage, help and error text.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from math import gcd
 
 from .arith import ReducedFraction
-from .covers import euler_sum, fiberless_cover, orientable_double_cover
+from .covers import _euler_terms, fiberless_cover, orientable_double_cover
 from .errors import (InputError, LimitTooSmall, OutputTooLong,
                      PreconditionError, SeifertError)
 from .fst import HomeoMode, fst_equivalent, fst_normalize, lift_fiber
@@ -27,12 +32,49 @@ from .symbol import (EquivalenceMode, normalize_symbol, parse_symbol,
                      render_symbol, reverse_orientation, symbols_equivalent)
 from .topology import classify_small, predicates
 
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from fractions import Fraction
+# Every command line, by the words that name it, with its arguments in
+# order: "x" is a positional, "x?" an optional one and "x:int" one read
+# by int(); "--f" is a store_true flag and "--f|--g" two mutually
+# exclusive ones; "--o N" is an option that takes an int, required
+# unless _ENV_DEFAULTS gives its default.
+_LINES = {
+    ("normalize",): ("symbol",),
+    ("report",): ("symbol?", "--json", "--stdin"),
+    ("equiv",): ("symbol1", "symbol2", "--oriented|--unoriented"),
+    ("reverse",): ("symbol",),
+    ("cover", "double"): ("symbol",),
+    ("cover", "fiberless"): ("symbol", "--sheets N"),
+    ("lens", "normalize"): ("p:int", "q:int"),
+    ("lens", "equiv"): ("p1:int", "q1:int", "p2:int", "q2:int"),
+    ("lens", "fiber"): ("q:int", "r:int", "p:int", "s:int", "nu:int",
+                        "mu:int"),
+    ("group", "pi1"): ("symbol",),
+    ("group", "fuchsian"): ("symbol",),
+    ("group", "h1"): ("symbol",),
+    ("group", "order"): ("symbol", "--max-cosets N"),
+    ("fst", "equiv"): ("nu1:int", "mu1:int", "nu2:int", "mu2:int",
+                       "--reverse|--any"),
+    ("fst", "lift"): ("sigma:int", "nu:int", "mu:int"),
+}
+COMMANDS = tuple(dict.fromkeys(words[0] for words in _LINES))
 
-COMMANDS = ("normalize", "report", "equiv", "reverse", "cover", "lens",
-            "group", "fst")
+# An option's environment variable, and its default when that is unset.
+_ENV_DEFAULTS = {"--max-cosets": ("SEIFERT_MAX_COSETS", "100000")}
+
+# The help lines of argparse's tree, by command words or option.
+_HELP = {
+    "normalize": "canonical form of a symbol",
+    "report": "full classification report",
+    "--stdin": "read one symbol per line, emit JSON lines",
+    "equiv": "compare two symbols",
+    "reverse": "orientation reversal",
+    "cover": "cover constructions",
+    "cover double": "orientation double cover",
+    "cover fiberless": "cover without exceptional fibers",
+    "lens": "lens-space arithmetic",
+    "group": "fundamental-group computations",
+    "fst": "fibered-solid-torus calculators",
+}
 
 # The json module, imported on first use by _json. It is a module global
 # so that a caller can stand in for it: perfbench/tracing.py times
@@ -51,9 +93,13 @@ def _json():
     return json
 
 
-def _frac(value: Fraction) -> str:
+def _euler_text(s) -> str:
+    """The Euler sum of a closed class-O symbol as reduced n/d: the text
+    of euler_sum(s).value, without building a Fraction."""
+    total, m = _euler_terms(s)
+    g = gcd(total, m)
     try:
-        return f"{value.numerator}/{value.denominator}"
+        return f"{total // g}/{m // g}"
     except ValueError:  # past the interpreter's int-to-str digit limit
         raise OutputTooLong() from None
 
@@ -69,7 +115,7 @@ def build_report(text: str, max_cosets: int = 100000) -> dict:
     pred = predicates(ns)
     pi1, fuchsian = presentation_texts(ns)
     closed_o = ns.is_closed and ns.class_part.total == "O"
-    es = _frac(euler_sum(ns).value) if closed_o else None
+    es = _euler_text(ns) if closed_o else None
     warnings = [BOUNDED_WARNING] if ns.is_bounded else []
     pred_dict = pred._asdict()
     pred_dict["notes"] = list(pred.notes)
@@ -112,11 +158,92 @@ def _print_report_text(rep: dict) -> None:
         print(f"warning: {w}")
 
 
+class _Args:
+    """The parsed command line, as argparse's Namespace holds it."""
+
+    def __init__(self, values):
+        self.__dict__.update(values)
+
+
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
+
+
+def _read_argv(argv):
+    """The namespace _parser would make of a well-formed argv, or None.
+
+    It declines wherever argparse could answer otherwise: help, a token
+    that starts with "-" and is no option of the command (an abbreviation,
+    --opt=value, a negative number, "-" or "--"), a wrong count of
+    positionals, both flags of an exclusive pair, an option given twice or
+    with no value, a missing required option and an int that int()
+    refuses, the environment's default included.
+    """
+    words = tuple(argv[:2])
+    if words not in _LINES:
+        words = words[:1]
+        if words not in _LINES:
+            return None
+    spec = _LINES[words]
+    names = [arg for arg in spec if not arg.startswith("--")]
+    options = [arg.split()[0] for arg in spec if " " in arg]
+    groups = [arg.split("|") for arg in spec
+              if arg.startswith("--") and " " not in arg]
+    flags = {flag for group in groups for flag in group}
+    positionals, seen, given = [], set(), {}
+    tokens = iter(argv[len(words):])
+    for tok in tokens:
+        if not tok.startswith("-"):
+            positionals.append(tok)
+        elif tok in flags:
+            seen.add(tok)
+        elif tok in options and tok not in given:
+            given[tok] = next(tokens, "-")  # "-" for a missing value
+            if given[tok].startswith("-"):
+                return None
+        else:
+            return None
+    if not (len([n for n in names if not n.endswith("?")])
+            <= len(positionals) <= len(names)):
+        return None
+    values = {"command": words[0]}
+    if len(words) == 2:
+        values[f"{words[0]}_kind"] = words[1]
+    for group in groups:
+        if len(seen.intersection(group)) > 1:
+            return None
+        values.update((_dest(flag), flag in seen) for flag in group)
+    try:
+        for i, name in enumerate(names):
+            name, _, kind = name.rstrip("?").partition(":")
+            text = positionals[i] if i < len(positionals) else None
+            values[name] = int(text) if kind else text
+        for option in options:
+            if option in given:
+                text = given[option]
+            elif option in _ENV_DEFAULTS:
+                text = os.environ.get(*_ENV_DEFAULTS[option])
+            else:
+                return None
+            values[_dest(option)] = int(text)
+    except ValueError:
+        return None
+    return _Args(values)
+
+
+def _add_parser(sub, words):
+    # a help= keyword, even None, adds a line to the parent's help
+    help = _HELP.get(" ".join(words))
+    return sub.add_parser(words[-1], **({} if help is None else
+                                        {"help": help}))
+
+
 def _parser(command=None) -> argparse.ArgumentParser:
-    """The argument parser. Given the name of a command, it builds only
-    that command's subparser under the top parser; otherwise (help, an
-    unknown word, no argument) the whole tree. Usage lines list every
-    command either way."""
+    """The argument parser, built from _LINES. Given the name of a command,
+    it builds only that command's subparser under the top parser;
+    otherwise (help, an unknown word, no argument) the whole tree. Usage
+    lines list every command either way."""
+    import argparse
     top = argparse.ArgumentParser(
         prog="seifert",
         description="Invariant calculus for compact Seifert fibered spaces")
@@ -128,80 +255,36 @@ def _parser(command=None) -> argparse.ArgumentParser:
         # "command" when it is missing
         names, metavar = COMMANDS, None
     sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    if "normalize" in names:
-        p = sub.add_parser("normalize", help="canonical form of a symbol")
-        p.add_argument("symbol")
-
-    if "report" in names:
-        p = sub.add_parser("report", help="full classification report")
-        p.add_argument("symbol", nargs="?")
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--stdin", action="store_true",
-                       help="read one symbol per line, emit JSON lines")
-
-    if "equiv" in names:
-        p = sub.add_parser("equiv", help="compare two symbols")
-        p.add_argument("symbol1")
-        p.add_argument("symbol2")
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument("--oriented", action="store_true")
-        mode.add_argument("--unoriented", action="store_true")
-
-    if "reverse" in names:
-        p = sub.add_parser("reverse", help="orientation reversal")
-        p.add_argument("symbol")
-
-    if "cover" in names:
-        p = sub.add_parser("cover", help="cover constructions")
-        csub = p.add_subparsers(dest="cover_kind", required=True)
-        c = csub.add_parser("double", help="orientation double cover")
-        c.add_argument("symbol")
-        c = csub.add_parser("fiberless",
-                            help="cover without exceptional fibers")
-        c.add_argument("symbol")
-        c.add_argument("--sheets", type=int, required=True)
-
-    if "lens" in names:
-        p = sub.add_parser("lens", help="lens-space arithmetic")
-        lsub = p.add_subparsers(dest="lens_kind", required=True)
-        l = lsub.add_parser("normalize")
-        l.add_argument("p", type=int)
-        l.add_argument("q", type=int)
-        l = lsub.add_parser("equiv")
-        l.add_argument("p1", type=int)
-        l.add_argument("q1", type=int)
-        l.add_argument("p2", type=int)
-        l.add_argument("q2", type=int)
-        l = lsub.add_parser("fiber")
-        for name in ("q", "r", "p", "s", "nu", "mu"):
-            l.add_argument(name, type=int)
-
-    if "group" in names:
-        p = sub.add_parser("group", help="fundamental-group computations")
-        gsub = p.add_subparsers(dest="group_kind", required=True)
-        for name in ("pi1", "fuchsian", "h1", "order"):
-            g = gsub.add_parser(name)
-            g.add_argument("symbol")
-            if name == "order":
+    kinds = {}
+    for words, spec in _LINES.items():
+        head = words[0]
+        if head not in names:
+            continue
+        if len(words) == 1:
+            p = _add_parser(sub, words)
+        else:
+            if head not in kinds:
+                kinds[head] = _add_parser(sub, (head,)).add_subparsers(
+                    dest=f"{head}_kind", required=True)
+            p = _add_parser(kinds[head], words)
+        for arg in spec:
+            if not arg.startswith("--"):
+                name, _, kind = arg.rstrip("?").partition(":")
+                p.add_argument(name, nargs="?" if arg.endswith("?") else None,
+                               type=int if kind else None)
+            elif "|" in arg:
+                group = p.add_mutually_exclusive_group()
+                for flag in arg.split("|"):
+                    group.add_argument(flag, action="store_true")
+            elif " " not in arg:
+                p.add_argument(arg, action="store_true", help=_HELP.get(arg))
+            elif arg.split()[0] in _ENV_DEFAULTS:
+                option = arg.split()[0]
                 # argparse applies type=int to this string default too
-                g.add_argument("--max-cosets", type=int,
-                               default=os.environ.get("SEIFERT_MAX_COSETS",
-                                                      "100000"))
-
-    if "fst" in names:
-        p = sub.add_parser("fst", help="fibered-solid-torus calculators")
-        fsub = p.add_subparsers(dest="fst_kind", required=True)
-        f = fsub.add_parser("equiv")
-        for name in ("nu1", "mu1", "nu2", "mu2"):
-            f.add_argument(name, type=int)
-        mode = f.add_mutually_exclusive_group()
-        mode.add_argument("--reverse", action="store_true")
-        mode.add_argument("--any", action="store_true")
-        f = fsub.add_parser("lift")
-        for name in ("sigma", "nu", "mu"):
-            f.add_argument(name, type=int)
-
+                p.add_argument(option, type=int, default=os.environ.get(
+                    *_ENV_DEFAULTS[option]))
+            else:
+                p.add_argument(arg.split()[0], type=int, required=True)
     return top
 
 
@@ -317,10 +400,12 @@ def _dispatch(args) -> int:
 def run_cli(argv) -> int:
     """Run one command line and return its exit code; never ends the
     process."""
-    try:
-        args = _parser(argv[0] if argv else None).parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
     try:
         return _dispatch(args)
     except InputError as exc:

@@ -33,19 +33,28 @@ class EulerSum:
     value: Fraction
 
 
+def _euler_terms(s: SeifertSymbol) -> tuple:
+    """The Euler sum of a closed class-O symbol as integers (total, m):
+    the sum is total/m over the lcm m of the indices, not reduced.
+
+    Needs no normal form: index-1 pairs are (1,0) and order is free.
+    Raises NotClosedOriented otherwise.
+    """
+    if not s.is_closed or s.class_part.total != "O":
+        raise NotClosedOriented("euler sum needs a closed symbol of class O")
+    m = lcm(*[p.mu for p in s.pairs])
+    return s.obstruction * m + sum(p.beta * (m // p.mu) for p in s.pairs), m
+
+
 def euler_sum(s: SeifertSymbol) -> EulerSum:
     """Euler sum of a closed oriented symbol.
 
     Negates under orientation reversal and multiplies by the sheet
     count under fiberless covers. Raises NotClosedOriented otherwise.
-    Needs no normal form: index-1 pairs are (1,0) and order is free. The
-    sum is taken over the lcm of the indices, one Fraction in all.
+    The sum is taken over the lcm of the indices, one Fraction in all.
     """
     global Fraction
-    if not s.is_closed or s.class_part.total != "O":
-        raise NotClosedOriented("euler sum needs a closed symbol of class O")
-    m = lcm(*[p.mu for p in s.pairs])
-    total = s.obstruction * m + sum(p.beta * (m // p.mu) for p in s.pairs)
+    total, m = _euler_terms(s)
     if Fraction is None:
         from fractions import Fraction
     return EulerSum(Fraction(total, m))

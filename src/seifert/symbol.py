@@ -43,7 +43,7 @@ from .errors import InvalidSurface, ModeError, NotOriented, OutputTooLong, \
 from .fst import CrossingPair
 
 _CLASS_HEADS = ("O,o,", "O,n,", "N,o,", "N,n,I,", "N,n,II,", "N,n,III,")
-_TOKEN = re.compile(r"[0-9]+|\S")
+_TOKEN = r"[0-9]+|\S"  # compiled and cached by re on first use
 _INDEX_TWO = CrossingPair(2, 1)
 
 
@@ -189,11 +189,11 @@ class _Tokens:
 
     def __init__(self, text):
         self.text = text
-        self.toks = _TOKEN.findall(text) + [""]
+        self.toks = re.findall(_TOKEN, text) + [""]
         self.i = 0
 
     def error(self, message, at=None):
-        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        starts = [m.start() for m in re.finditer(_TOKEN, self.text)]
         starts.append(len(self.text))
         return ParseError(message, starts[self.i if at is None else at])
 

@@ -104,18 +104,22 @@ _FLAT_BOUNDED_TEXT = [
 ]
 
 
-def _freeze(texts):
-    return frozenset(normalize_symbol(parse_symbol(t)) for t in texts)
+# (the whole flat family, its bounded part) as sets of normal forms,
+# parsed by the first call of _flat_sets: most command lines never ask
+_FLAT = None
 
 
-_FLAT_CLOSED = _freeze(_FLAT_CLOSED_TEXT)
-_FLAT_BOUNDED = _freeze(_FLAT_BOUNDED_TEXT)
-_FLAT = _FLAT_CLOSED | _FLAT_BOUNDED
+def _flat_sets():
+    global _FLAT
+    if _FLAT is None:
+        bounded = frozenset(parse_symbol(t) for t in _FLAT_BOUNDED_TEXT)
+        _FLAT = (bounded.union(map(parse_symbol, _FLAT_CLOSED_TEXT)), bounded)
+    return _FLAT
 
 
 def is_flat(s: SeifertSymbol) -> bool:
     """Membership in the fixed flat family (eleven closed, five bounded)."""
-    return normalize_symbol(s) in _FLAT
+    return normalize_symbol(s) in _flat_sets()[0]
 
 
 @record
@@ -213,7 +217,7 @@ def bounded_equivalent(s1: SeifertSymbol, s2: SeifertSymbol) -> bool:
             raise ValidityError("bounded_equivalent needs bounded symbols")
         if _is_solid_torus_schema(s):
             raise ExcludedSpace("solid torus (fibered solid torus symbol)")
-        if s in _FLAT_BOUNDED:
+        if s in _flat_sets()[1]:
             raise ExcludedSpace("I-bundle over the torus or Klein bottle")
         out.append(s)
     return symbols_equivalent(out[0], out[1], EquivalenceMode.UNORIENTED_FIBER)

@@ -1,8 +1,10 @@
 """Command-line behavior: output strings, exit codes, report schema."""
 
+import contextlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -613,3 +615,123 @@ def test_report_stdin_matches_the_pinned_golden_output():
         assert line == pinned, f"first difference on output line {number}"
     assert len(got) == len(want)
     assert proc.stdout == (data / "golden_report.jsonl").read_bytes()
+
+
+# _read_argv against argparse: generated command lines over every row of
+# cli._LINES, well-formed and not, under four values of the environment's
+# coset budget. Values a positional or an option may take, odd ints and
+# text included:
+INT_TEXTS = ["7", "-1", "+7", " 7", "1_000", "٣", "x", "", "9" * 5000]
+TOKENS = ["-h", "--help", "--js", "--max", "--max-cosets=5", "--sheets=3",
+          "-", "--", "", "-1", "+7", "x", "S", "--json", "--stdin",
+          "--oriented", "--unoriented", "--reverse", "--any", "--max-cosets",
+          "--sheets", "report", "double"]
+
+
+def _plain_argv(words, spec, rng):
+    """A well-formed argv of one row: its positionals, then each flag or
+    option unit (one flag of an exclusive pair), with every unit moved to
+    a random place among the positionals."""
+    units, positionals = [], []
+    for arg in spec:
+        if not arg.startswith("--"):
+            if not arg.endswith("?") or rng.random() < 0.7:
+                positionals.append(str(rng.randint(1, 30)) if ":int" in arg
+                                   else "(O,o,0 | -1, (2,1), (3,1))")
+        elif " " in arg:
+            if rng.random() < 0.7 or arg == "--sheets N":
+                units.append([arg.split()[0], str(rng.randint(1, 9999))])
+        elif rng.random() < 0.6:
+            units.append([rng.choice(arg.split("|"))])
+    argv = list(positionals)
+    for unit in units:
+        at = rng.randint(0, len(argv))
+        argv[at:at] = unit
+    return [*words, *argv]
+
+
+def _mutated(argv, rng):
+    """argv with one or two edits: a token inserted anywhere, a token
+    replaced by an odd int or text, a token dropped, or a unit repeated."""
+    argv = list(argv)
+    for _ in range(rng.randint(1, 2)):
+        edit = rng.randrange(4)
+        if edit == 0 or not argv:
+            argv.insert(rng.randint(0, len(argv)), rng.choice(TOKENS))
+        elif edit == 1:
+            argv[rng.randrange(len(argv))] = rng.choice(INT_TEXTS)
+        elif edit == 2:
+            del argv[rng.randrange(len(argv))]
+        else:
+            at = rng.randrange(len(argv))
+            argv[at:at] = argv[at:at + 2]
+    return argv
+
+
+def argv_cases():
+    rng = random.Random(20)
+    cases = [[], ["-h"], ["--help"], ["--json", "report", "S"]]
+    for words, spec in cli._LINES.items():
+        for _ in range(40):
+            plain = _plain_argv(words, spec, rng)
+            cases.append(plain)
+            cases += [_mutated(plain, rng) for _ in range(4)]
+        # help, "-", "--" and "" at every depth of one plain form
+        for tok in ("-h", "--help", "-", "--", ""):
+            cases += [plain[:at] + [tok] + plain[at:]
+                      for at in range(len(plain) + 1)]
+        # every odd int text in every positional
+        for at in range(len(words), len(plain)):
+            cases += [plain[:at] + [text] + plain[at + 1:]
+                      for text in INT_TEXTS]
+        # every flag, exclusive pairs together, repeated, abbreviated
+        for arg in spec:
+            if arg.startswith("--") and " " not in arg:
+                flags = arg.split("|")
+                cases += [plain + flags, plain + flags[:1] * 2,
+                          plain + [flags[0][:4]]]
+    order = ["group", "order", "S"]
+    cases += [order + ["--max-cosets", "5", "--max-cosets", "6"],
+              order + ["--max-cosets"], order + ["--max-cosets=5"],
+              order + ["--max-cosets", "-5"], order + ["--max-c", "5"],
+              ["cover", "fiberless", "S"], ["cover", "fiberless", "S",
+                                             "--sheets", "2", "--sheets", "3"]]
+    return cases
+
+
+def _argparse_namespace(parser, argv):
+    """vars() of what parser makes of argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize("budget", [None, "250", "abc", ""])
+def test_the_argv_reader_agrees_with_argparse(budget, monkeypatch):
+    if budget is None:
+        monkeypatch.delenv("SEIFERT_MAX_COSETS", raising=False)
+    else:
+        monkeypatch.setenv("SEIFERT_MAX_COSETS", budget)
+    parser = cli._parser()  # the whole tree, reading the budget now
+    cases = argv_cases()
+    read = 0
+    for argv in cases:
+        got = cli._read_argv(argv)
+        want = _argparse_namespace(parser, argv)
+        if got is not None:
+            read += 1
+            assert vars(got) == want, argv
+    # the reader reads most of them: every plain form but an invalid budget
+    assert read > len(cases) // 4
+
+
+def test_the_argv_reader_reads_every_plain_form(monkeypatch):
+    monkeypatch.delenv("SEIFERT_MAX_COSETS", raising=False)
+    rng = random.Random(21)
+    for words, spec in cli._LINES.items():
+        for _ in range(20):
+            argv = _plain_argv(words, spec, rng)
+            assert cli._read_argv(argv) is not None, argv

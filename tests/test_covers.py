@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 
 from seifert import (AlreadyOrientable, CrossingPair, IndexNotDivisible,
                      NotClosed, NotClosedOriented, OddEulerCharacteristic,
-                     QuotientFinite, SeifertSymbol, ValidityError, euler_sum,
-                     fiberless_cover, fuchsian_euler,
+                     OutputTooLong, QuotientFinite, SeifertSymbol,
+                     ValidityError, euler_sum, fiberless_cover, fuchsian_euler,
                      orientable_double_cover, parse_symbol, render_symbol,
                      reverse_orientation, signature_of_symbol,
                      suggest_cover_sheets)
+from seifert.cli import build_report
 
 from symbolgen import (closed_nonorientable_symbols, closed_oriented_symbols,
                        fibered_symbols)
@@ -211,3 +213,42 @@ def test_suggestion_always_feeds_the_cover():
         sheets = suggest_cover_sheets(s)
         fc = fiberless_cover(s, sheets)
         assert fc.obstruction == sheets * euler_sum(s).value, text
+
+
+# the report's Euler text, written from integers without a Fraction
+
+
+@st.composite
+def euler_text_symbols(draw):
+    """Closed class-O symbol texts whose Euler sum is zero, integral or
+    anything, b negative or positive, indices up to past 10^30."""
+    orbit = draw(st.sampled_from("on"))
+    genus = draw(st.integers(orbit == "n", 2))
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        mu = draw(st.integers(2, 10**33))
+        beta = draw(st.integers(1, mu - 1))
+        while gcd(mu, beta) != 1:
+            beta = beta % (mu - 1) + 1
+        pairs.append((mu, beta))
+    kind = draw(st.sampled_from(["zero", "integral", "any"]))
+    if kind != "any":  # each pair and its complement sum to 1
+        pairs += [(mu, mu - beta) for mu, beta in pairs]
+    b = -len(pairs) // 2 if kind == "zero" else draw(
+        st.integers(-10**31, 10**31))
+    body = ", ".join([str(b)] + [f"({mu},{beta})" for mu, beta in pairs])
+    return f"(O,{orbit},{genus} | {body})"
+
+
+@given(euler_text_symbols())
+def test_report_euler_text_is_the_euler_sum(text):
+    v = euler_sum(sym(text)).value
+    assert build_report(text)["euler_sum"] == f"{v.numerator}/{v.denominator}"
+
+
+def test_report_euler_text_past_the_digit_limit():
+    # the sum exists, but its denominator has 4,401 digits
+    text = f"(O,o,0 | 0, ({10**2200 + 1},1), ({10**2200 + 3},1))"
+    assert euler_sum(sym(text)).value.denominator > 10**4400
+    with pytest.raises(OutputTooLong):
+        build_report(text)

@@ -84,3 +84,39 @@ def test_report_json_prints_the_same_bytes(capsys):
     out = capsys.readouterr().out
     assert out == json.dumps(build_report(text), indent=2) + "\n"
     assert json.loads(out)["euler_sum"] == "1/30"
+
+
+CLOSED_O = "(O,o,0 | -1, (2,1), (3,1), (5,1))"
+# every argv shape of perfbench's calls workload
+CALLS = [["report", CLOSED_O], ["report", "--json", CLOSED_O],
+         ["equiv", CLOSED_O, "(O,o,0 | -1, (2,1), (3,1), (7,1))"],
+         ["normalize", CLOSED_O], ["group", "order", CLOSED_O],
+         ["group", "order", CLOSED_O, "--max-cosets", "20000"]]
+HEAVY = ("argparse", "gettext", "fractions", "decimal", "numbers", "json")
+
+
+@pytest.mark.parametrize("argv", CALLS, ids=" ".join)
+def test_a_well_formed_call_loads_no_argparse_or_fractions(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(seifert.__file__).parents[1]))
+    code = ("import contextlib, io, sys\n"
+            "from seifert.cli import run_cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = run_cli({argv!r})\n"
+            f"print(code, *(m for m in {HEAVY!r} if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code = "1" if argv[0] == "equiv" else "0"  # the two are distinct
+    json_too = ["json"] if "--json" in argv else []
+    assert proc.stdout.split() == [code, *json_too]
+
+
+def test_help_and_usage_errors_still_come_from_argparse(capsys):
+    from seifert.cli import run_cli
+    assert run_cli(["report", "--bogus"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: seifert [-h] {normalize,")
+    assert err.endswith("error: unrecognized arguments: --bogus\n")
+    assert run_cli(["-h"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: seifert [-h] {") and err == ""

@@ -2,6 +2,8 @@
 record that equals only values of its own class, hashes like its equal
 values and prints as Name(field=value, ...); `replace` validates."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -131,3 +133,44 @@ def test_replace_validates_and_clears_the_mark():
         ns._replace(boundary_klein=1)
     with pytest.raises(ValidityError):
         CrossingPair._make((3, 3))
+
+
+@pytest.mark.parametrize("cls,kwargs", VALUES,
+                         ids=[cls.__name__ for cls, _ in VALUES])
+def test_copies_and_pickles_are_equal_values(cls, kwargs):
+    value = cls(**kwargs)
+    for copied in (copy.copy(value), copy.deepcopy(value),
+                   pickle.loads(pickle.dumps(value)),
+                   pickle.loads(pickle.dumps(value, protocol=0))):
+        assert type(copied) is cls
+        assert copied == value and hash(copied) == hash(value)
+        assert repr(copied) == repr(value)
+
+
+@pytest.mark.parametrize("cls,kwargs", VALUES,
+                         ids=[cls.__name__ for cls, _ in VALUES])
+def test_match_args_are_the_fields(cls, kwargs):
+    assert cls.__match_args__ == cls._fields == tuple(kwargs)
+    value = cls(**kwargs)
+    assert value._asdict() == kwargs
+    assert value._replace() == value == cls._make(kwargs.values())
+
+
+def test_match_by_position_reads_the_fields():
+    match parse_symbol(README_FIRST):
+        case SeifertSymbol(ClassPart(total, orbit, genus), 0, 0, b,
+                           (CrossingPair(2, 1), *rest)):
+            assert (total, orbit, genus, b, len(rest)) == ("O", "o", 0, -1, 2)
+        case _:
+            pytest.fail("the symbol did not match by position")
+
+
+def test_copy_and_pickle_validate():
+    # a copy is rebuilt by the class, so its __post_init__ runs: a pickle
+    # whose fields were edited into an invalid value does not load
+    data = pickle.dumps(CrossingPair(3, 1), protocol=2)
+    assert data.count(b"K\x01") == 1  # beta, as a one-byte int
+    with pytest.raises(ValidityError):
+        pickle.loads(data.replace(b"K\x01", b"K\x03"))
+    ns = normalize_symbol(parse_symbol(README_FIRST))
+    assert copy.copy(ns) == ns == copy.deepcopy(ns)

@@ -1,7 +1,7 @@
-"""Differential run of two commits: the same symbols, every output compared.
+"""Differential run of two commits: the same inputs, every output compared.
 
     python3 tools/diff_revs.py --old HEAD~1 --new HEAD --golden \
-        --seed 16 --draws 20000 --box --out diff.json
+        --seed 16 --draws 20000 --box --argv --out diff.json
 
 Both revisions are unpacked with `git archive REV | tar -x`, as
 tools/bench_pairs.py does, and each is run by one worker process that
@@ -14,8 +14,12 @@ up to 13, any beta, and b from -6 to 6 (--box, 444,860 symbols).
 Per symbol it compares each key of the build_report dict (or its error
 text), the classify_small name and order, `group order` stdout, stderr
 and exit code, and `reverse` and both `equiv` modes of the symbol against
-its reverse. It prints the differences per key and writes them to --out
-as JSON with the first few examples of each. Exit 0 when nothing
+its reverse. With --argv it also runs the fixed command lines of
+argv_lines (help at every depth, usage errors, abbreviated options, the
+--max-cosets forms, negative ints) through each revision's run_cli,
+under three values of SEIFERT_MAX_COSETS, and compares stdout, stderr
+and exit code. It prints the differences per key and writes them to
+--out as JSON with the first few examples of each. Exit 0 when nothing
 differs, 1 otherwise. Standard library only.
 """
 
@@ -37,7 +41,6 @@ from pathlib import Path
 
 from bench_pairs import git, unpack
 
-KEYS = ("small", "group_order", "reverse", "equiv")
 EXAMPLES = 5
 
 
@@ -50,6 +53,58 @@ def box_texts():
         for chosen in combinations_with_replacement(pairs, n):
             for b in range(-6, 7):
                 yield f"(O,o,0 | {', '.join((str(b),) + chosen)})"
+
+
+def argv_lines():
+    """The command lines of --argv, each as JSON [budget, argv]: every
+    command's plain form, help at every depth, a positional too few and
+    too many, abbreviated options, exclusive flags together, the
+    --max-cosets forms and negative ints, with SEIFERT_MAX_COSETS unset
+    (budget null), invalid and valid."""
+    s = "(O,o,0 | -1, (2,1), (3,1), (5,1))"
+    t = "(O,o,0 | -1, (2,1), (3,1), (7,1))"
+    plain = [
+        (1, ["normalize", s]), (1, ["report", s]),
+        (1, ["report", "--json", s]), (1, ["report", "--stdin"]),
+        (1, ["equiv", "--oriented", s, t]),
+        (1, ["equiv", "--unoriented", s, s]), (1, ["reverse", s]),
+        (2, ["cover", "double", "(N,n,I,1 | (0,0), (3,1))"]),
+        (2, ["cover", "fiberless", t, "--sheets", "84"]),
+        (2, ["lens", "normalize", "7", "4"]),
+        (2, ["lens", "equiv", "7", "2", "7", "3"]),
+        (2, ["lens", "fiber", "0", "-1", "1", "0", "1", "3"]),
+        (2, ["group", "pi1", s]), (2, ["group", "fuchsian", s]),
+        (2, ["group", "h1", s]), (2, ["group", "order", s]),
+        (2, ["group", "order", t, "--max-cosets", "20000"]),
+        (2, ["fst", "equiv", "--reverse", "1", "3", "2", "3"]),
+        (2, ["fst", "lift", "2", "1", "2"]),
+    ]
+    lines = [[], ["-h"], ["--help"], ["--he"], ["no-such-command"],
+             ["--json", "report", s], ["report"], ["report", "-"],
+             ["normalize", "--", s], ["lens", "normalize", "-7", "4"],
+             ["lens", "fiber", "--", "0", "-1", "1", "0", "1", "3"],
+             ["fst", "lift", "2", "-1", "2"],
+             ["lens", "normalize", "+7", " 4"],
+             ["lens", "normalize", "1_000", "\u0663"],
+             ["lens", "normalize", "x", "4"],
+             ["equiv", "--oriented", "--unoriented", s, t],
+             ["fst", "equiv", "--reverse", "--any", "1", "3", "2", "3"],
+             ["cover", "fiberless", t], ["cover", "fiberless", t, "--sheets"]]
+    for depth, argv in plain:
+        lines.append(argv)
+        lines += [argv[:k] + [h] for k in range(1, depth + 1)
+                  for h in ("-h", "--help")]
+        lines += [argv + ["-h"], argv[:depth] + ["-h"] + argv[depth:],
+                  argv[:-1], argv + ["extra"], argv + ["--bogus"]]
+        lines += [argv + [tok[:4]] for tok in argv if tok.startswith("--")]
+    order = ["group", "order", t]
+    lines += [order + opt for opt in (
+        ["--max-cosets", "5"], ["--max-cosets=5"], ["--max-c", "5"],
+        ["--max-cosets"], ["--max-cosets", "5", "--max-cosets", "6"],
+        ["--max-cosets", "-5"], ["--max-cosets", "abc"], ["--max-cosets", "0"],
+        ["--max-cosets", "1_000"], ["--max-cosets", ""])]
+    return [json.dumps([budget, argv]) for budget in (None, "abc", "250")
+            for argv in lines]
 
 
 def _env(checkout: Path) -> dict:
@@ -111,6 +166,14 @@ def worker(checkout: Path, mode: str, *args) -> int:
         for _ in range(int(args[1])):
             print(seifert.render_symbol(random_symbol(rng)))
         return 0
+    if mode == "argv":
+        for line in Path(args[0]).read_text().splitlines():
+            budget, argv = json.loads(line)
+            os.environ.pop("SEIFERT_MAX_COSETS", None)
+            if budget is not None:
+                os.environ["SEIFERT_MAX_COSETS"] = budget
+            sys.stdout.write(json.dumps({"call": _cli_call(cli, argv)}) + "\n")
+        return 0
     # build each argparse tree once: run_cli reads _parser at call time,
     # and the cache keeps one tree per argument tuple, so this holds
     # whether _parser takes no argument (the whole tree) or a command name
@@ -134,18 +197,18 @@ def worker(checkout: Path, mode: str, *args) -> int:
 
 
 def _flat(rec: dict) -> dict:
-    report = rec["report"]
-    out = {f"report.{k}": v for k, v in report.items()}
-    out.update((k, rec[k]) for k in KEYS)
+    out = {f"report.{k}": v for k, v in rec.pop("report", {}).items()}
+    out.update(rec)
     return out
 
 
-def compare(texts, dirs) -> dict:
+def compare(texts, dirs, mode="eval") -> dict:
     """Run both workers on texts at once and count differences per key."""
     with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as f:
         f.write("".join(t + "\n" for t in texts))
     try:
-        procs = [subprocess.Popen(_worker_argv(d, "eval", f.name), env=_env(d),
+        procs = [subprocess.Popen(_worker_argv(d, mode, f.name), env=_env(d),
+                                  stdin=subprocess.DEVNULL,
                                   stdout=subprocess.PIPE, text=True)
                  for d in dirs]
         counts, examples, differ, seen = Counter(), {}, 0, 0
@@ -183,6 +246,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0, help="seed of the draws")
     ap.add_argument("--box", action="store_true",
                     help="the closed (O,o,0) box of 444,860 symbols")
+    ap.add_argument("--argv", action="store_true",
+                    help="the fixed command lines of argv_lines")
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
 
@@ -205,10 +270,13 @@ def main(argv=None) -> int:
             sources["box"] = list(box_texts())
         results = {name: compare(texts, (dirs["old"], dirs["new"]))
                    for name, texts in sources.items()}
+        if args.argv:
+            results["argv"] = compare(argv_lines(), (dirs["old"], dirs["new"]),
+                                      "argv")
 
     total = Counter()
     for name, res in results.items():
-        print(f"{name}: {res['symbols']} symbols, {res['differing_symbols']} "
+        print(f"{name}: {res['symbols']} inputs, {res['differing_symbols']} "
               f"differ")
         for key, n in res["differences"].items():
             print(f"  {key}: {n}")
