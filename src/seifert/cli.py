@@ -169,6 +169,16 @@ def _dest(option: str) -> str:
     return option[2:].replace("-", "_")
 
 
+def _arguments(spec):
+    """A row of _LINES as its positionals, its groups of store_true flags
+    (a group of two is exclusive) and its options that take an int."""
+    names = [arg for arg in spec if not arg.startswith("--")]
+    groups = [arg.split("|") for arg in spec
+              if arg.startswith("--") and " " not in arg]
+    options = [arg.split()[0] for arg in spec if " " in arg]
+    return names, groups, options
+
+
 def _read_argv(argv):
     """The namespace _parser would make of a well-formed argv, or None.
 
@@ -184,11 +194,7 @@ def _read_argv(argv):
         words = words[:1]
         if words not in _LINES:
             return None
-    spec = _LINES[words]
-    names = [arg for arg in spec if not arg.startswith("--")]
-    options = [arg.split()[0] for arg in spec if " " in arg]
-    groups = [arg.split("|") for arg in spec
-              if arg.startswith("--") and " " not in arg]
+    names, groups, options = _arguments(_LINES[words])
     flags = {flag for group in groups for flag in group}
     positionals, seen, given = [], set(), {}
     tokens = iter(argv[len(words):])
@@ -267,24 +273,26 @@ def _parser(command=None) -> argparse.ArgumentParser:
                 kinds[head] = _add_parser(sub, (head,)).add_subparsers(
                     dest=f"{head}_kind", required=True)
             p = _add_parser(kinds[head], words)
-        for arg in spec:
-            if not arg.startswith("--"):
-                name, _, kind = arg.rstrip("?").partition(":")
-                p.add_argument(name, nargs="?" if arg.endswith("?") else None,
-                               type=int if kind else None)
-            elif "|" in arg:
-                group = p.add_mutually_exclusive_group()
-                for flag in arg.split("|"):
-                    group.add_argument(flag, action="store_true")
-            elif " " not in arg:
-                p.add_argument(arg, action="store_true", help=_HELP.get(arg))
-            elif arg.split()[0] in _ENV_DEFAULTS:
-                option = arg.split()[0]
+        positionals, groups, options = _arguments(spec)
+        for arg in positionals:
+            name, _, kind = arg.rstrip("?").partition(":")
+            p.add_argument(name, nargs="?" if arg.endswith("?") else None,
+                           type=int if kind else None)
+        for group in groups:
+            if len(group) == 1:
+                p.add_argument(group[0], action="store_true",
+                               help=_HELP.get(group[0]))
+                continue
+            exclusive = p.add_mutually_exclusive_group()
+            for flag in group:
+                exclusive.add_argument(flag, action="store_true")
+        for option in options:
+            if option in _ENV_DEFAULTS:
                 # argparse applies type=int to this string default too
                 p.add_argument(option, type=int, default=os.environ.get(
                     *_ENV_DEFAULTS[option]))
             else:
-                p.add_argument(arg.split()[0], type=int, required=True)
+                p.add_argument(option, type=int, required=True)
     return top
 
 
