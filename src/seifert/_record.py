@@ -33,7 +33,9 @@ def _frozen(self, name, value=None):
 
 
 def _bind(cls, args, kwargs):
-    """The field values of a call that gives keywords or leaves defaults."""
+    """The field values of a call that gives keywords, gives too few or
+    too many values, or leaves out a default where not every default
+    trails; it raises such a call's TypeError."""
     fields = cls._fields
     if len(args) > len(fields):
         raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments "
@@ -72,10 +74,20 @@ def record(cls):
     defaults = {f: body.pop(f) for f in fields if f in body}
     size = len(fields)
     post = "__post_init__" in body
+    # A positional call needs at least `least` values and takes the rest
+    # from `tail`, when every default trails; otherwise _bind reads it.
+    tail = tuple(defaults.values())
+    least = size - len(tail)
+    if fields[least:] != tuple(defaults):
+        least = size
 
     def __new__(cls, *args, **kwargs):
-        if kwargs or len(args) != size:
-            args = _bind(cls, args, kwargs)
+        n = len(args)
+        if n != size or kwargs:
+            if kwargs or not least <= n < size:
+                args = _bind(cls, args, kwargs)
+            else:
+                args += tail[n - least:]
         self = tuple.__new__(cls, args)
         if post:
             self.__post_init__()

@@ -78,7 +78,8 @@ _HELP = {
 
 # The json module, imported on first use by _json. It is a module global
 # so that a caller can stand in for it: perfbench/tracing.py times
-# serialization that way.
+# serialization that way. Every path honours a stand-in: `report --stdin`
+# then calls the stand-in's dumps on each line.
 json = None
 
 BOUNDED_WARNING = ("bounded symbol: no obstruction slot; comparisons use the "
@@ -91,6 +92,31 @@ def _json():
     if json is None:
         import json
     return json
+
+
+def _line_dumps():
+    """json.dumps for the lines of one `report --stdin` batch.
+
+    With the real json module and its C encoder, one encoder with dumps'
+    default settings (circular check, ASCII output, ": " and ", ", no
+    sorting, no skipped keys, NaN allowed) is built for the whole batch,
+    where dumps builds one a call; the bytes are the same. Otherwise, a
+    stand-in or an encoder of another signature, it is json.dumps.
+    """
+    module = _json()
+    if module is sys.modules.get("json"):
+        encoder = module.encoder
+        if encoder.c_make_encoder is not None:
+            try:
+                encode = encoder.c_make_encoder(
+                    {}, module.JSONEncoder().default,
+                    encoder.encode_basestring_ascii, None, ": ", ", ",
+                    False, False, True)
+            except TypeError:
+                pass
+            else:
+                return lambda rep: "".join(encode(rep, 0))
+    return module.dumps
 
 
 def _euler_text(s) -> str:
@@ -305,7 +331,7 @@ def _dispatch(args) -> int:
 
     if cmd == "report":
         if args.stdin:
-            dumps = _json().dumps
+            dumps = _line_dumps()
             for line in sys.stdin:
                 line = line.strip()
                 if not line:

@@ -360,8 +360,9 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
     - The side rows form a divisibility chain. A side row splits off as
       Z/g when its h-entry lies in the ideal generated by its index, the
       h-entries above it, the core's and 2 (when there is a row 2h).
-    What is left is a few rows on h, y and the unsplit d. A core of at
-    most two columns, the usual case, has its factors read from its
+    What is left is a few rows on h, y and the unsplit d. The core row
+    alone, with no split factor, is Z/|core| (Z when core = 0). A core
+    of at most two columns, the usual case, has its factors read from its
     determinantal divisors (gcds of its entries and of its 2 x 2 minors);
     only a wider one reaches the Smith normal form. So the cost is about
     linear in the fibers.
@@ -373,15 +374,16 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
     ycol = closed and cp.orbit == "n"
     free = s.boundary_tori + s.boundary_klein + (
         2 * cp.genus if cp.orbit == "o" else cp.genus - ycol)
-    pairs = [(p.mu, p.beta) for p in s.pairs]
+    pairs = s.pairs
     if closed and cp.total == "N":  # the index-2 count s
-        pairs += [(2, 1)] * s.obstruction[1]
+        pairs += ((2, 1),) * s.obstruction[1]
     side = []
     pure = []
     m, bh = 1, 0
     for mu, beta in pairs:
-        g, x, y = _xgcd(m, mu)
+        g = gcd(m, mu)
         if g > 1:
+            _, x, y = _xgcd(m, mu)
             _add_side_row(side, pure, g, (y * beta - x * bh) % g)
         m, bh = m // g * mu, (mu * bh + m * beta) // g
     if closed:
@@ -400,6 +402,9 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
             pure.append(g)
         t = gcd(t, r)
     width = 1 + ycol + len(rest)
+    if width == 1 and not pure and not two:  # the core row alone
+        core = abs(core)
+        return AbelianGroup(free + (core == 0), (core,) if core > 1 else ())
     if width <= 2:  # the columns h, then y or d, passed as rows
         a = [[r for _, r in rest] + [core, two]]
         if width == 2:

@@ -55,9 +55,14 @@ def lens_normalize(p: int, q: int) -> LensParams:
         return LensParams(p, 0)
     if gcd(p, q) != 1:
         raise NotCoprime(f"gcd({p}, {q}) != 1")
-    q0 = q % p
-    inv = pow(q0, -1, p)
-    return LensParams(p, min(q0, (-q0) % p, inv, (-inv) % p))
+    q %= p
+    return _lens_params(p, q, pow(q, -1, p))
+
+
+def _lens_params(p: int, q: int, inv: int) -> LensParams:
+    """lens_normalize(p, q) for p >= 1, q reduced mod p and coprime to it,
+    given inv = q^-1 mod p."""
+    return LensParams(p, min(q, p - q, inv, p - inv))
 
 
 def lens_equivalent(a: LensParams, b: LensParams) -> bool:
@@ -173,8 +178,8 @@ def recognize_S2_symbol(s: SeifertSymbol) -> SmallResult | None:
             return None
         h1 = sphere_h1_order(b, pairs)
         return SmallResult("platonic", "platonic ({},{},{})".format(*tri.indices),
-                           triple=tri.indices,
-                           order=h1 * tri.order ** 2 // prod(tri.indices))
+                           None, tri.indices,
+                           h1 * tri.order ** 2 // prod(tri.indices))
     padded = [(c.mu, c.beta) for c in pairs] + [(1, 0)] * (2 - len(pairs))
     q = _sewing_q(b, *padded)
     p = sphere_h1_order(b, pairs)
@@ -182,12 +187,13 @@ def recognize_S2_symbol(s: SeifertSymbol) -> SmallResult | None:
         # b = 0 without fibers, or b = 1 with beta1/mu1 + beta2/mu2 = 1:
         # q = 1 in both cases
         mat = GluingMatrix(q, 0, 0, q)
+        params = LensParams(0, 0)
     else:
         q %= p
         inv = pow(q, -1, p)
         mat = GluingMatrix(q, (q * inv - 1) // p, p, inv)
-    params = lens_normalize(p, q)
+        params = _lens_params(p, q, inv)
     name = params.display()
     # p = 0 is S2xS1, the one infinite group here
-    return SmallResult("lens" if p > 1 else name, name, lens=params,
-                       order=p or None, witness=mat)
+    return SmallResult("lens" if p > 1 else name, name, params, None,
+                       p or None, mat)

@@ -160,7 +160,7 @@ class SeifertSymbol:
 
     @property
     def is_closed(self) -> bool:
-        return not self.is_bounded
+        return not (self.boundary_tori or self.boundary_klein)
 
     @property
     def fiber_count(self) -> int:
@@ -171,10 +171,15 @@ class SeifertSymbol:
         return n
 
     def expanded_pairs(self) -> tuple:
-        """Pairs with the s count written out as explicit (2,1) entries."""
+        """Pairs with the s count written out as explicit (2,1) entries,
+        sorted by (mu, beta)."""
         extra = 0
         if self.is_closed and self.class_part.total == "N":
             extra = self.obstruction[1]
+        if self._normal:
+            # the pairs are sorted, and a closed class-N normal form lists
+            # no index-2 pair, so the (2,1) entries come first
+            return (_INDEX_TWO,) * extra + self.pairs
         return tuple(sorted([_INDEX_TWO] * extra + list(self.pairs),
                             key=lambda p: (p.mu, p.beta)))
 

@@ -75,9 +75,9 @@ def classify_small(s: SeifertSymbol) -> SmallResult | None:
         if t == 1:
             # the group order 4 mu is |H1|, so the group is cyclic
             return SmallResult("lens", f"L({n},{n // 2 - 1})",
-                               lens=lens_normalize(n, n // 2 - 1), order=n)
-        return SmallResult("platonic", f"platonic (2,2,{n // 4})",
-                           triple=(2, 2, n // 4), order=n)
+                               lens_normalize(n, n // 2 - 1), None, n)
+        return SmallResult("platonic", f"platonic (2,2,{n // 4})", None,
+                           (2, 2, n // 4), n)
     return None
 
 

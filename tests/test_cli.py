@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from seifert import (InternalError, parse_symbol, pi1_presentation,
-                     render_symbol, reverse_orientation)
+from seifert import (InternalError, SeifertError, parse_symbol,
+                     pi1_presentation, render_symbol, reverse_orientation)
 from seifert import cli
 from seifert.cli import BOUNDED_WARNING, build_report, run_cli
 import snf_oracle
@@ -446,6 +446,52 @@ def test_report_stdin_isolates_every_failure(capsys, monkeypatch):
     assert recs[1] == {"input": "(O,o,0 | 2)", "error": "broken invariant"}
     assert recs[0]["normalized"] == "(O,o,0 | 1)"
     assert recs[2]["normalized"] == "(O,o,0 | 3)"
+
+
+# golden, error lines, and non-ASCII inside and outside the BMP
+BATCH = [*(Path(__file__).parent / "data" / "golden_symbols.txt")
+         .read_text().splitlines(),
+         "(O,o,0|bad)", "(O,o,0 | 1, (2,2))", "(O,o,0 | 1) \u00e9",
+         "(O,o,0 | \U0001d516)", "(N,n,I,1 | (0,2)) \u2014 flat"]
+
+
+def _batch_out(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(BATCH) + "\n"))
+    rc, out, err = run(capsys, ["report", "--stdin"])
+    assert (rc, err) == (0, "")
+    return out
+
+
+def _report_or_error(line):
+    try:
+        return build_report(line)
+    except SeifertError as exc:
+        return {"input": line, "error": str(exc)}
+
+
+def test_report_stdin_writes_the_dumps_of_each_line(monkeypatch, capsys):
+    expected = "".join(json.dumps(_report_or_error(line.strip())) + "\n"
+                       for line in BATCH)
+    assert expected.isascii()
+    assert "\\u00e9" in expected and "\\ud835\\udd16" in expected
+    assert _batch_out(monkeypatch, capsys) == expected
+    # without the C encoder, json.dumps writes the same bytes
+    monkeypatch.setattr("json.encoder.c_make_encoder", None)
+    assert _batch_out(monkeypatch, capsys) == expected
+
+
+def test_report_stdin_calls_a_stand_in_for_json(monkeypatch, capsys):
+    dumped = []
+
+    class StandIn:
+        def dumps(self, rep):
+            dumped.append(rep)
+            return f"<{len(dumped)}>"
+
+    monkeypatch.setattr(cli, "json", StandIn())
+    out = _batch_out(monkeypatch, capsys)
+    assert out == "".join(f"<{i}>\n" for i in range(1, len(BATCH) + 1))
+    assert dumped == [_report_or_error(line.strip()) for line in BATCH]
 
 
 def test_report_requires_input(capsys):

@@ -21,6 +21,18 @@ under three values of SEIFERT_MAX_COSETS, and compares stdout, stderr
 and exit code. It prints the differences per key and writes them to
 --out as JSON with the first few examples of each. Exit 0 when nothing
 differs, 1 otherwise. Standard library only.
+
+A change that alters outputs on purpose states them with --expect FILE,
+a JSON object that maps each input set to its expected differences per
+key, and golden to the list of its differing inputs as well:
+
+    {"golden": {"differences": {"report.h1": 66, ...}, "inputs": [...]},
+     "draws": {"differences": {...}}, "argv": {"differences": {}}}
+
+The "expect" entry of --out holds this object for the run. With --expect
+the tool exits 0 only when the run matches the file exactly, and 1 on any
+extra, missing or changed count, or a changed golden input; a set that
+the run covers and the file omits is expected to differ nowhere.
 """
 
 from __future__ import annotations
@@ -202,8 +214,9 @@ def _flat(rec: dict) -> dict:
     return out
 
 
-def compare(texts, dirs, mode="eval") -> dict:
-    """Run both workers on texts at once and count differences per key."""
+def compare(texts, dirs, mode="eval", keep_inputs=False) -> dict:
+    """Run both workers on texts at once and count differences per key;
+    keep_inputs lists every differing input too."""
     with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as f:
         f.write("".join(t + "\n" for t in texts))
     try:
@@ -211,13 +224,14 @@ def compare(texts, dirs, mode="eval") -> dict:
                                   stdin=subprocess.DEVNULL,
                                   stdout=subprocess.PIPE, text=True)
                  for d in dirs]
-        counts, examples, differ, seen = Counter(), {}, 0, 0
+        counts, examples, differing, seen = Counter(), {}, [], 0
         for text, a, b in zip(texts, procs[0].stdout, procs[1].stdout):
             seen += 1
             old, new = _flat(json.loads(a)), _flat(json.loads(b))
             keys = [k for k in dict.fromkeys([*old, *new])
                     if old.get(k) != new.get(k)]
-            differ += bool(keys)
+            if keys:
+                differing.append(text)
             for k in keys:
                 counts[k] += 1
                 if len(examples.setdefault(k, [])) < EXAMPLES:
@@ -231,8 +245,47 @@ def compare(texts, dirs, mode="eval") -> dict:
     if codes != [0, 0] or seen != len(texts):
         raise SystemExit(f"a worker failed (exit codes {codes}) after "
                          f"{seen} of {len(texts)} symbols")
-    return {"symbols": seen, "differing_symbols": differ,
-            "differences": dict(sorted(counts.items())), "examples": examples}
+    res = {"symbols": seen, "differing_symbols": len(differing),
+           "differences": dict(sorted(counts.items())), "examples": examples}
+    if keep_inputs:
+        res["differing_inputs"] = differing
+    return res
+
+
+def expectation(results) -> dict:
+    """What --expect compares of a run: each input set's differences per
+    key, and the inputs that differ where the run kept them (golden)."""
+    out = {}
+    for name, res in results.items():
+        out[name] = {"differences": res["differences"]}
+        if "differing_inputs" in res:
+            out[name]["inputs"] = res["differing_inputs"]
+    return out
+
+
+def mismatches(expected: dict, actual: dict) -> list:
+    """Each way the expectation of a run differs from the expected one,
+    as lines of text; empty on an exact match."""
+    out = []
+    for name in dict.fromkeys([*expected, *actual]):
+        if name not in actual:
+            out.append(f"{name}: expected, but not run")
+            continue
+        want = expected.get(name, {})
+        got = actual[name]
+        counts, seen = want.get("differences", {}), got["differences"]
+        for key in dict.fromkeys([*counts, *seen]):
+            if counts.get(key, 0) != seen.get(key, 0):
+                out.append(f"{name}: {key} differs on {seen.get(key, 0)} "
+                           f"inputs, expected {counts.get(key, 0)}")
+        inputs, kept = want.get("inputs", []), got.get("inputs", [])
+        if inputs != kept:
+            extra = [t for t in kept if t not in inputs]
+            gone = [t for t in inputs if t not in kept]
+            out.append(f"{name}: {len(extra)} inputs differ unexpectedly "
+                       f"{extra[:EXAMPLES]}, {len(gone)} expected to differ "
+                       f"do not {gone[:EXAMPLES]}")
+    return out
 
 
 def main(argv=None) -> int:
@@ -249,7 +302,10 @@ def main(argv=None) -> int:
     ap.add_argument("--argv", action="store_true",
                     help="the fixed command lines of argv_lines")
     ap.add_argument("--out", required=True, type=Path)
+    ap.add_argument("--expect", type=Path,
+                    help="JSON file of the expected differences")
     args = ap.parse_args(argv)
+    expected = json.loads(args.expect.read_text()) if args.expect else None
 
     commits = {"old": git("rev-parse", args.old),
                "new": git("rev-parse", args.new)}
@@ -268,7 +324,8 @@ def main(argv=None) -> int:
             sources["draws"] = draw_texts(dirs["old"], args.seed, args.draws)
         if args.box:
             sources["box"] = list(box_texts())
-        results = {name: compare(texts, (dirs["old"], dirs["new"]))
+        results = {name: compare(texts, (dirs["old"], dirs["new"]),
+                                 keep_inputs=name == "golden")
                    for name, texts in sources.items()}
         if args.argv:
             results["argv"] = compare(argv_lines(), (dirs["old"], dirs["new"]),
@@ -282,9 +339,16 @@ def main(argv=None) -> int:
             print(f"  {key}: {n}")
         total.update(res["differences"])
     out = {"tool": "tools/diff_revs.py", "commits": commits,
-           "seed": args.seed, "draws": args.draws, "inputs": results}
+           "seed": args.seed, "draws": args.draws, "inputs": results,
+           "expect": expectation(results)}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
-    return 1 if total else 0
+    if expected is None:
+        return 1 if total else 0
+    wrong = mismatches(expected, out["expect"])
+    for line in wrong:
+        print(f"not as expected: {line}")
+    print(f"{args.expect}: {'no match' if wrong else 'matches'}")
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
