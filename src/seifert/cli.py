@@ -7,7 +7,8 @@ cosets: `group order` reads the order of a finite group off the small-space
 recognition, and an infinite group gets the verdict "not determined within
 N cosets", where N is the coset budget (100000 unless SEIFERT_MAX_COSETS or
 --max-cosets says otherwise); enumeration within any budget never closes on
-an infinite group.
+an infinite group. perfbench/checks.py pins that verdict text, so it changes
+only with the benchmark's definition.
 
 A well-formed command line is read by _read_argv from the table
 _LINES; anything else (help, a usage error, an abbreviated option, a
@@ -134,7 +135,8 @@ def build_report(text: str, max_cosets: int = 100000) -> dict:
     """Assemble the full report dict, keys in schema order.
 
     max_cosets is unused: no part of a report enumerates cosets. It is
-    kept so that existing positional callers keep working.
+    kept so that positional callers keep working, among them the
+    benchmark's batch_op (perfbench/tracing.py), which passes 100000.
     """
     s = parse_symbol(text)
     ns = normalize_symbol(s)

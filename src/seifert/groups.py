@@ -3,14 +3,15 @@
 The group of a fibered space is generated by a central-up-to-sign fiber
 class h, the orbit surface generators, one loop per exceptional fiber and
 one per boundary component. Deleting h gives the Fuchsian quotient, the
-group of the orbit 2-orbifold, and that is how its presentation is
-computed. presentation_texts writes the text of both presentations, as a
-report prints them, straight from the normal form; pi1_presentation,
-fuchsian_quotient and presentation_text build and render the Presentation
-values and are its test oracle. first_homology reads H1 off the symbol by
-folding the fibers into a core of bounded size. abelianization, by Smith
-normal form of any presentation's exponent sums, is the general tool and
-its test oracle.
+group of the orbit 2-orbifold. presentation_texts is the one writer of
+relators: it writes the text of both presentations, as a report prints
+them, straight from the normal form. pi1_presentation and
+fuchsian_quotient read those texts back into Presentation values, so they
+raise OutputTooLong exactly where it does, when an exponent passes the
+interpreter's int-to-str digit limit; presentation_text renders any
+Presentation. first_homology reads H1 off the symbol by folding the fibers
+into a core of bounded size. abelianization, by Smith normal form of any
+presentation's exponent sums, is the general tool and its test oracle.
 A coset enumerator decides finiteness within a coset budget; it is library
 API and the test oracle for the closed-form group order of
 topology.classify_small, and the command line does not run it.
@@ -57,21 +58,6 @@ class Presentation:
                 if prev == g:
                     raise ValidityError("adjacent syllables not merged")
                 prev = g
-
-
-def _word(*syllables):
-    """Normalize a syllable list: merge adjacent, drop zero exponents."""
-    out = []
-    for g, e in syllables:
-        if e == 0:
-            continue
-        if out and out[-1][0] == g:
-            e += out[-1][1]
-            out.pop()
-            if e == 0:
-                continue
-        out.append((g, e))
-    return tuple(out)
 
 
 def presentation_text(p: Presentation) -> str:
@@ -156,47 +142,11 @@ def pi1_presentation(s: SeifertSymbol) -> Presentation:
     (N,o) of genus >= 1, every crosscap for (O,n) and 0, 1, 2 for
     (N,n,I), (N,n,II), (N,n,III); so does every Klein-bottle boundary
     generator; all others preserve it. Then each pair gives c^mu h^beta,
-    and closed symbols add the single long relator ending in h^b.
+    and closed symbols add the single long relator ending in h^b. Read
+    from the text presentation_texts(s)[0]: OutputTooLong when an
+    exponent passes the interpreter's int-to-str digit limit.
     """
-    s = normalize_symbol(s)
-    cp = s.class_part
-    pairs = s.expanded_pairs()
-    names, c0 = _generators(s, len(pairs))
-    k = _reversing_count(cp)
-    # h is generator 0, so the surface generators are 1 .. k .. c0 - 1
-    klein0 = len(names) - s.boundary_klein
-    relators = [((y, 1), (0, 1), (y, -1), (0, 1 if y <= k or y >= klein0 else -1))
-                for y in range(1, len(names))]
-    relators += [_word((c0 + i, p.mu), (0, p.beta)) for i, p in enumerate(pairs)]
-    if s.is_closed:
-        if cp.orbit == "o":
-            long_rel = [(y + d, e) for y in range(1, c0, 2)
-                        for d, e in ((0, 1), (1, 1), (0, -1), (1, -1))]
-        else:
-            long_rel = [(y, 2) for y in range(1, c0)]
-        w = _word(*long_rel, *((c0 + i, 1) for i in range(len(pairs))),
-                  (0, _long_relator_exponent(s)))
-        if w:
-            relators.append(w)
-    return Presentation(tuple(names), tuple(relators))
-
-
-def _generators(s: SeifertSymbol, n: int):
-    """The generator names of a normal form with n fibers, and c1's index.
-
-    The names are h, the orbit-surface generators (a1, b1, a2, ... over an
-    orientable orbit, x1, x2, ... over a non-orientable one), c1 ... cn
-    and one d per boundary component.
-    """
-    cp = s.class_part
-    if cp.orbit == "o":
-        surface = [f"{x}{i}" for i in range(1, cp.genus + 1) for x in "ab"]
-    else:
-        surface = [f"x{i}" for i in range(1, cp.genus + 1)]
-    boundary = s.boundary_tori + s.boundary_klein
-    names = (["h"] + surface + [f"c{i}" for i in range(1, n + 1)]
-             + [f"d{j}" for j in range(1, boundary + 1)])
-    return names, 1 + len(surface)
+    return _presentation(presentation_texts(s)[0])
 
 
 def _reversing_count(cp) -> int:
@@ -211,9 +161,10 @@ def _long_relator_exponent(s: SeifertSymbol) -> int:
 
     It is b for class O and the b of (b, s) for class N, so the relator
     reads c1 ... cn h^b. It alone decides the sign of b in the group:
-    pi1_presentation, presentation_texts, first_homology and, for
+    presentation_texts (and so pi1_presentation), first_homology and, for
     sphere_h1_order and _sewing_q, lens.recognize_S2_symbol,
-    topology.classify_small and topology.predicates look it up at call time.
+    topology.classify_small and topology.predicates look it up at call
+    time, and so do the builders of tests/presentation_oracle.py.
     """
     return s.obstruction if s.class_part.total == "O" else s.obstruction[0]
 
@@ -223,39 +174,39 @@ def fuchsian_quotient(s: SeifertSymbol) -> Presentation:
 
     The group presentation with generator h deleted: conjugation
     relators collapse to y y^-1 and vanish, pair relators become c^mu,
-    and the closed long relator loses its h tail.
+    and the closed long relator loses its h tail. Read from the text
+    presentation_texts(s)[1]: OutputTooLong when an exponent passes the
+    interpreter's int-to-str digit limit.
     """
-    return _quotient_by_h(pi1_presentation(s))
+    return _presentation(presentation_texts(s)[1])
 
 
-def _quotient_by_h(p: Presentation) -> Presentation:
-    """A pi1_presentation with generator h deleted and words re-merged.
+def _presentation(text: str) -> Presentation:
+    """Read a text of presentation_texts back into a Presentation.
 
-    Deleting h (generator 0) shifts every other index down by one; the
-    syllables it separated are merged as they are copied.
+    Each syllable "name" or "name^e" of "< gens | rels >" becomes the
+    pair (index of name, e); "-" stands for no generators or no relators.
     """
+    gens, rels = text[2:-2].split(" | ")
+    names = () if gens == "-" else tuple(gens.split(", "))
+    index = {name: i for i, name in enumerate(names)}
     relators = []
-    for word in p.relators:
-        out = []
-        for g, e in word:
-            if g:
-                g -= 1
-                if out and out[-1][0] == g:
-                    e += out.pop()[1]
-                    if not e:
-                        continue
-                out.append((g, e))
-        if out:
-            relators.append(tuple(out))
-    return Presentation(p.generators[1:], tuple(relators))
+    for word in () if rels == "-" else rels.split(", "):
+        syllables = []
+        for syllable in word.split(" "):
+            name, _, e = syllable.partition("^")
+            syllables.append((index[name], int(e) if e else 1))
+        relators.append(tuple(syllables))
+    return Presentation(names, tuple(relators))
 
 
 def presentation_texts(s: SeifertSymbol) -> tuple:
-    """(pi1 text, Fuchsian text): presentation_text of pi1_presentation(s)
-    and of fuchsian_quotient(s), written in one pass over the normal form.
+    """(pi1 text, Fuchsian text): the one writer of the group relators,
+    which pi1_presentation and fuchsian_quotient read back.
 
-    The generators, the reversal count k and the long relator's h exponent
-    come from the helpers pi1_presentation uses. Each conjugation relator
+    The generators are h, the orbit-surface generators (a1, b1, a2, ...
+    over an orientable orbit, x1, x2, ... over a non-orientable one),
+    c1 ... cn and one d per boundary component. Each conjugation relator
     is y h y^-1 h^-1, or y h y^-1 h for a reversing generator, and vanishes
     in the quotient; each pair gives c^mu h^beta, and c^mu in the quotient;
     the long relator of a closed symbol loses its h tail in the quotient.
@@ -264,7 +215,14 @@ def presentation_texts(s: SeifertSymbol) -> tuple:
     s = normalize_symbol(s)
     cp = s.class_part
     pairs = s.expanded_pairs()
-    names, c0 = _generators(s, len(pairs))
+    if cp.orbit == "o":
+        surface = [f"{x}{i}" for i in range(1, cp.genus + 1) for x in "ab"]
+    else:
+        surface = [f"x{i}" for i in range(1, cp.genus + 1)]
+    c0 = 1 + len(surface)
+    boundary = s.boundary_tori + s.boundary_klein
+    names = (["h"] + surface + [f"c{i}" for i in range(1, len(pairs) + 1)]
+             + [f"d{j}" for j in range(1, boundary + 1)])
     k = _reversing_count(cp)
     klein0 = len(names) - s.boundary_klein
     cs = names[c0:c0 + len(pairs)]
@@ -651,11 +609,8 @@ def triangle_presentation(p: int, q: int, r: int) -> Presentation:
     for v in (p, q, r):
         if v < 2:
             raise InvalidIndex(f"triangle index must be >= 2, got {v}")
-    uv = []
-    for _ in range(r):
-        uv += [(0, 1), (1, 1)]
     return Presentation(("u", "v"),
-                        (_word((0, p)), _word((1, q)), _word(*uv)))
+                        (((0, p),), ((1, q),), ((0, 1), (1, 1)) * r))
 
 
 # ---------------------------------------------------------------------------

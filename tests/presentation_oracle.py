@@ -1,5 +1,12 @@
 """Presentation builders kept as test oracles.
 
+pi1_presentation is the group builder that groups.pi1_presentation was
+before it read its value back from groups.presentation_texts, the one
+writer of relators in the package: it lays out the generators and writes
+every relator as (generator, exponent) syllables, merged by its own
+_word. It shares only groups._long_relator_exponent, the one site of the
+sign of b, with the package. quotient_by_h deletes h from it.
+
 fuchsian_quotient is the quotient builder from before the quotient was
 derived from the group presentation. It lays out the generators without
 h and writes the pair relators c^mu and the closed long relator from
@@ -19,7 +26,55 @@ from itertools import chain
 
 from seifert import (AbelianGroup, CrossingPair, IntMatrix, Presentation,
                      SeifertSymbol, normalize_symbol, smith_normal_form)
-from seifert.groups import _word
+from seifert.groups import _long_relator_exponent
+
+
+def _word(*syllables):
+    """Normalize a syllable list: merge adjacent, drop zero exponents."""
+    out = []
+    for g, e in syllables:
+        if e == 0:
+            continue
+        if out and out[-1][0] == g:
+            e += out[-1][1]
+            out.pop()
+            if e == 0:
+                continue
+        out.append((g, e))
+    return tuple(out)
+
+
+def pi1_presentation(s: SeifertSymbol) -> Presentation:
+    """The group presentation built syllable by syllable.
+
+    Generators: h, the orbit-surface generators, one c per pair of the
+    normal form (the index-2 count written out as (2,1) pairs) and one d
+    per boundary component. Every generator y but h gives y h y^-1 h^-1,
+    or y h y^-1 h when it reverses the fiber (_fiber_reversing, and every
+    Klein-bottle boundary); each pair gives c^mu h^beta, and a closed
+    symbol adds the surface word, the c's and h^b.
+    """
+    s = normalize_symbol(s)
+    cp = s.class_part
+    names, pairs, c0, _ = _generator_layout(s, with_h=True)
+    flips = _fiber_reversing(cp, c0 - 1)
+    klein0 = len(names) - s.boundary_klein
+    relators = [((y, 1), (0, 1), (y, -1),
+                 (0, 1 if (y < c0 and y - 1 in flips) or y >= klein0 else -1))
+                for y in range(1, len(names))]
+    relators += [_word((c0 + i, p.mu), (0, p.beta))
+                 for i, p in enumerate(pairs)]
+    if s.is_closed:
+        if cp.orbit == "o":
+            long_rel = [(y + d, e) for y in range(1, c0, 2)
+                        for d, e in ((0, 1), (1, 1), (0, -1), (1, -1))]
+        else:
+            long_rel = [(y, 2) for y in range(1, c0)]
+        w = _word(*long_rel, *((c0 + i, 1) for i in range(len(pairs))),
+                  (0, _long_relator_exponent(s)))
+        if w:
+            relators.append(w)
+    return Presentation(tuple(names), tuple(relators))
 
 
 def _generator_layout(s: SeifertSymbol, with_h: bool):

@@ -1,16 +1,19 @@
 """tools/diff_revs.py: a commit against itself differs nowhere, --expect
-passes only a run that matches its file exactly, and the box holds every
-closed (O,o,0) symbol it promises."""
+passes only a run that matches its file exactly, the box holds every
+closed (O,o,0) symbol it promises, and the worker records the bytes that
+`report --stdin` writes."""
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from seifert import parse_symbol, render_symbol
+from seifert import (fuchsian_quotient, parse_symbol, pi1_presentation,
+                     render_symbol)
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "diff_revs.py"
@@ -99,3 +102,31 @@ def test_the_box_holds_every_closed_sphere_symbol(monkeypatch):
     assert texts[-1] == "(O,o,0 | 6, (13,12), (13,12), (13,12))"
     # each text is the normal form's own text
     assert all(render_symbol(parse_symbol(t)) == t for t in texts[::997])
+
+
+def test_the_worker_records_the_bytes_report_stdin_writes(tmp_path):
+    # golden lines, an error line and a non-ASCII one: each worker record's
+    # report.line is the line `report --stdin` writes for its symbol
+    golden = (ROOT / "tests" / "data" / "golden_symbols.txt").read_text()
+    texts = golden.splitlines()[:20] + ["(O,o,0 | 1, (2,3))",
+                                        "(O,o,0 | 1, (2,é))"]
+    (tmp_path / "texts.txt").write_text("".join(t + "\n" for t in texts))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tests")])}
+    worker = subprocess.run(
+        [sys.executable, str(TOOL), "--worker", str(ROOT), "eval",
+         str(tmp_path / "texts.txt")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    cli = subprocess.run(
+        [sys.executable, "-m", "seifert", "report", "--stdin"], env=env,
+        input="".join(t + "\n" for t in texts).encode(), capture_output=True,
+        timeout=120, check=True)
+    records = [json.loads(line) for line in worker.stdout.splitlines()]
+    assert len(records) == len(texts)
+    lines = [rec["report.line"].encode() for rec in records]
+    assert lines == cli.stdout.splitlines(keepends=True)
+    assert [rec["report"] for rec in records] == [json.loads(b) for b in lines]
+    assert "error" in records[-1]["report"] and b"\\u00e9" in lines[-1]
+    assert records[0]["presentations"] == [
+        repr(build(parse_symbol(texts[0])))
+        for build in (pi1_presentation, fuchsian_quotient)]

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from seifert import (AbelianGroup, ClassPart, CrossingPair, FuchsianSignature,
                      IntMatrix, InternalError, InvalidIndex, LimitTooSmall,
-                     Presentation, SeifertSymbol, SizeClass, ValidityError,
+                     OutputTooLong, Presentation, SeifertSymbol, SizeClass,
+                     ValidityError,
                      abelianization, classify_small, coset_enumerate,
                      first_homology, fuchsian_euler,
                      fuchsian_quotient, fuchsian_size_class, normalize_symbol,
@@ -20,7 +21,7 @@ from seifert import (AbelianGroup, ClassPart, CrossingPair, FuchsianSignature,
                      signature_of_symbol,
                      symbols_equivalent, triangle_info, triangle_presentation)
 from seifert import groups
-from seifert.groups import _quotient_by_h
+from seifert.groups import _presentation
 import presentation_oracle
 import snf_oracle
 from symbolgen import (any_symbols, bounded_symbols, closed_nonorientable_symbols,
@@ -221,8 +222,29 @@ def test_presentation_texts_match_the_presentations(s, klein, shift):
         s = replace(s, boundary_klein=s.boundary_klein + klein)
     elif s.is_closed and s.class_part.total == "O":
         s = replace(s, obstruction=s.obstruction + shift)
-    assert presentation_texts(s) == (presentation_text(pi1_presentation(s)),
-                                     presentation_text(fuchsian_quotient(s)))
+    # the one writer of relators against the syllable-by-syllable
+    # reference, and the values read back from its texts
+    ref = presentation_oracle.pi1_presentation(s)
+    quotient = presentation_oracle.quotient_by_h(ref)
+    texts = presentation_texts(s)
+    assert texts == (presentation_text(ref), presentation_text(quotient))
+    assert pi1_presentation(s) == ref
+    assert fuchsian_quotient(s) == quotient
+    for text in texts:
+        assert presentation_text(_presentation(text)) == text
+
+
+def test_presentations_raise_output_too_long_with_their_texts():
+    # both are read from presentation_texts, which cannot print an
+    # exponent past the interpreter's int-to-str digit limit
+    huge_b = SeifertSymbol(ClassPart("O", "o", 0), 0, 0, 10**5000, ())
+    with pytest.raises(OutputTooLong):
+        pi1_presentation(huge_b)
+    assert first_homology(huge_b) == AbelianGroup(0, (10**5000,))
+    huge_mu = SeifertSymbol(ClassPart("O", "o", 0), 0, 0, 0,
+                            (CrossingPair(10**5000 + 1, 1),))
+    with pytest.raises(OutputTooLong):
+        fuchsian_quotient(huge_mu)
 
 
 def test_fuchsian_triangle_quotient():
@@ -260,6 +282,15 @@ def test_triangle_abelianizations():
     assert abelianization(triangle_presentation(2, 3, 5)) == AbelianGroup(0, ())
     assert abelianization(triangle_presentation(2, 2, 6)) == AbelianGroup(0, (2, 2))
     assert abelianization(triangle_presentation(2, 2, 7)) == AbelianGroup(0, (2,))
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+def test_triangle_presentation_relators(r):
+    uv = tuple((i % 2, 1) for i in range(2 * r))  # u v u v ... u v
+    p = triangle_presentation(2, 3, r)
+    assert p.generators == ("u", "v")
+    assert p.relators == (((0, 2),), ((1, 3),), uv)
+    assert presentation_text(p) == f"< u, v | u^2, v^3, {' '.join(['u v'] * r)} >"
 
 
 def test_h1_of_poincare_like_symbol_is_trivial():
@@ -343,8 +374,10 @@ def test_group_block_matches_the_per_syllable_oracle(s, klein):
     if s.is_bounded and s.class_part.total == "N":
         s = normalize_symbol(replace(s, boundary_klein=s.boundary_klein + klein))
     p = pi1_presentation(s)
-    q = _quotient_by_h(p)
-    assert q == presentation_oracle.quotient_by_h(p)
+    q = fuchsian_quotient(s)
+    ref = presentation_oracle.pi1_presentation(s)
+    assert p == ref
+    assert q == presentation_oracle.quotient_by_h(ref)
     for pres in (p, q):
         assert (presentation_text(pres).encode()
                 == presentation_oracle.presentation_text(pres).encode())

@@ -11,10 +11,12 @@ symbolgen.random_symbol with random.Random(--seed) (drawn in the old
 checkout), and every closed (O,o,0) symbol with at most 3 fibers of index
 up to 13, any beta, and b from -6 to 6 (--box, 444,860 symbols).
 
-Per symbol it compares each key of the build_report dict (or its error
-text), the classify_small name and order, `group order` stdout, stderr
-and exit code, and `reverse` and both `equiv` modes of the symbol against
-its reverse. With --argv it also runs the fixed command lines of
+Per symbol it compares the line that `report --stdin` writes for it,
+byte for byte (report.line) and key by key (report.input, report.pi1,
+...; report.error for an error line), the repr of pi1_presentation and
+of fuchsian_quotient (or each one's error text), the classify_small name
+and order, `group order` stdout, stderr and exit code, and `reverse` and
+both `equiv` modes of the symbol against its reverse. With --argv it also runs the fixed command lines of
 argv_lines (help at every depth, usage errors, abbreviated options, the
 --max-cosets forms, negative ints) through each revision's run_cli,
 under three values of SEIFERT_MAX_COSETS, and compares stdout, stderr
@@ -140,13 +142,16 @@ def draw_texts(checkout: Path, seed: int, count: int) -> list:
 # The worker: runs in a checkout's package and prints one JSON line a symbol
 
 
-def _cli_call(cli, argv) -> list:
+def _cli_call(cli, argv, stdin="") -> list:
     out, err = io.StringIO(), io.StringIO()
+    real_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.run_cli(argv)
         except Exception as exc:  # a traceback is a difference too
             code = f"crash: {type(exc).__name__}: {exc}"
+        finally:
+            sys.stdin = real_stdin
     return [out.getvalue(), err.getvalue(), code]
 
 
@@ -164,6 +169,23 @@ def _small(text):
     from seifert import classify_small, parse_symbol
     res = classify_small(parse_symbol(text))
     return None if res is None else [res.name, res.order]
+
+
+def _presentations(text):
+    from seifert import fuchsian_quotient, parse_symbol, pi1_presentation
+    s = parse_symbol(text)
+    return [_call(lambda: repr(build(s)))
+            for build in (pi1_presentation, fuchsian_quotient)]
+
+
+def _report(cli, text) -> dict:
+    """The line `report --stdin` writes for text, raw and read back."""
+    out, err, code = _cli_call(cli, ["report", "--stdin"], text + "\n")
+    try:
+        report = json.loads(out)
+    except ValueError:  # no line, or more than one
+        report = {"crash": [out, err, code]}
+    return {"report": report, "report.line": out}
 
 
 def worker(checkout: Path, mode: str, *args) -> int:
@@ -192,7 +214,8 @@ def worker(checkout: Path, mode: str, *args) -> int:
     cli._parser = functools.lru_cache(maxsize=None)(cli._parser)
     for text in Path(args[0]).read_text().splitlines():
         rev = _cli_call(cli, ["reverse", text])
-        rec = {"report": _call(cli.build_report, text),
+        rec = {**_report(cli, text),
+               "presentations": _call(_presentations, text),
                "small": _call(_small, text),
                "group_order": _cli_call(cli, ["group", "order", text]),
                "reverse": rev, "equiv": None}
