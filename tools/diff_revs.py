@@ -14,10 +14,11 @@ up to 13, any beta, and b from -6 to 6 (--box, 444,860 symbols).
 Per symbol it compares the line that `report --stdin` writes for it,
 byte for byte (report.line) and key by key (report.input, report.pi1,
 ...; report.error for an error line), the repr of pi1_presentation and
-of fuchsian_quotient (or each one's error text), the classify_small name
-and order, `group order` stdout, stderr and exit code, and `reverse` and
-both `equiv` modes of the symbol against its reverse. With --argv it also runs the fixed command lines of
-argv_lines (help at every depth, usage errors, abbreviated options, the
+of fuchsian_quotient or each one's error text (presentations), the
+classify_small name and order, `group order` stdout, stderr and exit
+code, and `reverse` and both `equiv` modes of the symbol against its
+reverse. With --argv it also runs the fixed command lines of argv_lines
+(help at every depth, usage errors, abbreviated options, the
 --max-cosets forms, negative ints) through each revision's run_cli,
 under three values of SEIFERT_MAX_COSETS, and compares stdout, stderr
 and exit code. It prints the differences per key and writes them to
