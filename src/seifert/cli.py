@@ -10,10 +10,10 @@ N cosets", where N is the coset budget (100000 unless SEIFERT_MAX_COSETS or
 an infinite group. perfbench/checks.py pins that verdict text, so it changes
 only with the benchmark's definition.
 
-A well-formed command line is read by _read_argv from the table
-_LINES; anything else (help, a usage error, an abbreviated option, a
-negative number) goes to argparse, which _parser builds from the same
-table, so argparse alone writes usage, help and error text.
+Every plain command line, negative numbers included, is read by
+_read_argv from the table _LINES; anything else (help, a usage error, an
+abbreviation, --opt=value, "--") goes to argparse, whose one tree _parser
+builds from the same table, so argparse alone writes help and errors.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 import sys
 from math import gcd
+from types import SimpleNamespace
 
 from .arith import ReducedFraction
 from .covers import _euler_terms, fiberless_cover, orientable_double_cover
@@ -57,7 +58,6 @@ _LINES = {
                        "--reverse|--any"),
     ("fst", "lift"): ("sigma:int", "nu:int", "mu:int"),
 }
-COMMANDS = tuple(dict.fromkeys(words[0] for words in _LINES))
 
 # An option's environment variable, and its default when that is unset.
 _ENV_DEFAULTS = {"--max-cosets": ("SEIFERT_MAX_COSETS", "100000")}
@@ -138,8 +138,7 @@ def build_report(text: str, max_cosets: int = 100000) -> dict:
     kept so that positional callers keep working, among them the
     benchmark's batch_op (perfbench/tracing.py), which passes 100000.
     """
-    s = parse_symbol(text)
-    ns = normalize_symbol(s)
+    ns = parse_symbol(text)  # the marked normal form
     pred = predicates(ns)
     pi1, fuchsian = presentation_texts(ns)
     closed_o = ns.is_closed and ns.class_part.total == "O"
@@ -186,13 +185,6 @@ def _print_report_text(rep: dict) -> None:
         print(f"warning: {w}")
 
 
-class _Args:
-    """The parsed command line, as argparse's Namespace holds it."""
-
-    def __init__(self, values):
-        self.__dict__.update(values)
-
-
 def _dest(option: str) -> str:
     return option[2:].replace("-", "_")
 
@@ -207,12 +199,18 @@ def _arguments(spec):
     return names, groups, options
 
 
+def _is_value(tok: str) -> bool:
+    # argparse reads "-" and decimal digits as a number: no option looks so
+    return not tok.startswith("-") or tok[1:].isdecimal()
+
+
 def _read_argv(argv):
     """The namespace _parser would make of a well-formed argv, or None.
 
-    It declines wherever argparse could answer otherwise: help, a token
-    that starts with "-" and is no option of the command (an abbreviation,
-    --opt=value, a negative number, "-" or "--"), a wrong count of
+    A negative number is read as a positional or an option's value. The
+    reader declines wherever argparse could answer otherwise: help, any
+    other token that starts with "-" and is no option of the command (an
+    abbreviation, --opt=value, -1.5, "-" or "--"), a wrong count of
     positionals, both flags of an exclusive pair, an option given twice or
     with no value, a missing required option and an int that int()
     refuses, the environment's default included.
@@ -227,13 +225,13 @@ def _read_argv(argv):
     positionals, seen, given = [], set(), {}
     tokens = iter(argv[len(words):])
     for tok in tokens:
-        if not tok.startswith("-"):
+        if _is_value(tok):
             positionals.append(tok)
         elif tok in flags:
             seen.add(tok)
         elif tok in options and tok not in given:
             given[tok] = next(tokens, "-")  # "-" for a missing value
-            if given[tok].startswith("-"):
+            if not _is_value(given[tok]):
                 return None
         else:
             return None
@@ -262,7 +260,7 @@ def _read_argv(argv):
             values[_dest(option)] = int(text)
     except ValueError:
         return None
-    return _Args(values)
+    return SimpleNamespace(**values)
 
 
 def _add_parser(sub, words):
@@ -272,48 +270,31 @@ def _add_parser(sub, words):
                                         {"help": help}))
 
 
-def _parser(command=None) -> argparse.ArgumentParser:
-    """The argument parser, built from _LINES. Given the name of a command,
-    it builds only that command's subparser under the top parser;
-    otherwise (help, an unknown word, no argument) the whole tree. Usage
-    lines list every command either way."""
+def _parser():
+    """The whole argument parser, built from _LINES, for what _read_argv
+    declines: help, usage errors, abbreviations, --opt=value and "--"."""
     import argparse
     top = argparse.ArgumentParser(
         prog="seifert",
         description="Invariant calculus for compact Seifert fibered spaces")
-    if command in COMMANDS:
-        names = (command,)
-        metavar = "{" + ",".join(COMMANDS) + "}"
-    else:
-        # argparse names the choices itself, and names the action
-        # "command" when it is missing
-        names, metavar = COMMANDS, None
-    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = top.add_subparsers(dest="command", required=True)
     kinds = {}
     for words, spec in _LINES.items():
         head = words[0]
-        if head not in names:
-            continue
-        if len(words) == 1:
-            p = _add_parser(sub, words)
-        else:
-            if head not in kinds:
-                kinds[head] = _add_parser(sub, (head,)).add_subparsers(
-                    dest=f"{head}_kind", required=True)
-            p = _add_parser(kinds[head], words)
+        if len(words) == 2 and head not in kinds:
+            kinds[head] = _add_parser(sub, (head,)).add_subparsers(
+                dest=f"{head}_kind", required=True)
+        p = _add_parser(kinds[head] if len(words) == 2 else sub, words)
         positionals, groups, options = _arguments(spec)
         for arg in positionals:
             name, _, kind = arg.rstrip("?").partition(":")
             p.add_argument(name, nargs="?" if arg.endswith("?") else None,
                            type=int if kind else None)
         for group in groups:
-            if len(group) == 1:
-                p.add_argument(group[0], action="store_true",
-                               help=_HELP.get(group[0]))
-                continue
-            exclusive = p.add_mutually_exclusive_group()
+            into = p if len(group) == 1 else p.add_mutually_exclusive_group()
             for flag in group:
-                exclusive.add_argument(flag, action="store_true")
+                into.add_argument(flag, action="store_true",
+                                  help=_HELP.get(flag))
         for option in options:
             if option in _ENV_DEFAULTS:
                 # argparse applies type=int to this string default too
@@ -439,7 +420,7 @@ def run_cli(argv) -> int:
     args = _read_argv(argv)
     if args is None:
         try:
-            args = _parser(argv[0] if argv else None).parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 2
     try:

@@ -5,7 +5,8 @@ before it read its value back from groups.presentation_texts, the one
 writer of relators in the package: it lays out the generators and writes
 every relator as (generator, exponent) syllables, merged by its own
 _word. It shares only groups._long_relator_exponent, the one site of the
-sign of b, with the package. quotient_by_h deletes h from it.
+sign of b, with the package, and looks it up at call time, so a test that
+patches it reaches this builder too. quotient_by_h deletes h from it.
 
 fuchsian_quotient is the quotient builder from before the quotient was
 derived from the group presentation. It lays out the generators without
@@ -26,7 +27,7 @@ from itertools import chain
 
 from seifert import (AbelianGroup, CrossingPair, IntMatrix, Presentation,
                      SeifertSymbol, normalize_symbol, smith_normal_form)
-from seifert.groups import _long_relator_exponent
+from seifert import groups
 
 
 def _word(*syllables):
@@ -71,7 +72,7 @@ def pi1_presentation(s: SeifertSymbol) -> Presentation:
         else:
             long_rel = [(y, 2) for y in range(1, c0)]
         w = _word(*long_rel, *((c0 + i, 1) for i in range(len(pairs))),
-                  (0, _long_relator_exponent(s)))
+                  (0, groups._long_relator_exponent(s)))
         if w:
             relators.append(w)
     return Presentation(tuple(names), tuple(relators))

@@ -1,0 +1,83 @@
+"""Identities of covers that hold under any convention for b (ROADMAP
+item 14): under a finite cover the first Betti number does not drop
+(transfer), and the orientation double cover of a closed class-N symbol
+has Euler sum 0.
+
+The covers build their own e and chi, so checking those against each
+other would be circular. b1 is read from the group instead: the
+exponent-sum matrix of presentation_oracle.pi1_presentation, ranked by
+snf_oracle.smith_normal_form, so no expected value comes from the
+package's own homology or Smith normal form.
+"""
+
+from collections import Counter
+
+import pytest
+from hypothesis import Verbosity, given, settings
+
+from seifert import (IntMatrix, QuotientFinite, euler_sum, fiberless_cover,
+                     orientable_double_cover, parse_symbol,
+                     suggest_cover_sheets)
+import presentation_oracle
+import snf_oracle
+from symbolgen import (closed_nonorientable_symbols, closed_oriented_symbols,
+                       few_fiber_nonorientable_symbols)
+
+# quiet: a strict xfail's expected falsification writes no
+# .hypothesis/patches file and loads no patch writer
+DRAWS = settings(derandomize=True, max_examples=300, verbosity=Verbosity.quiet)
+
+
+def b1(s) -> int:
+    """The first Betti number of a closed symbol: its generators less the
+    rank of its nonzero exponent-sum rows, over their nonzero columns."""
+    p = presentation_oracle.pi1_presentation(s)
+    rows = []
+    for word in p.relators:
+        sums = Counter()
+        for g, e in word:
+            sums[g] += e
+        row = {g: e for g, e in sums.items() if e}
+        if row:
+            rows.append(row)
+    if not rows:
+        return len(p.generators)
+    cols = sorted({g for row in rows for g in row})
+    flat = tuple(row.get(g, 0) for row in rows for g in cols)
+    factors, _ = snf_oracle.smith_normal_form(
+        IntMatrix(len(rows), len(cols), flat))
+    return len(p.generators) - len(factors)
+
+
+def test_b1_of_known_spaces():
+    # spaces whose e is 0, or not, under either sign of b
+    cases = {"(O,o,0 | -1, (2,1), (3,1), (5,1))": 0,  # Poincare sphere
+             "(O,o,0 | 0)": 1,  # S2 x S1
+             "(O,o,1 | 0)": 3,  # the 3-torus
+             "(O,o,2 | 1)": 4}
+    assert {t: b1(parse_symbol(t)) for t in cases} == cases
+
+
+@DRAWS
+@given(closed_oriented_symbols)
+def test_a_fiberless_cover_does_not_lower_b1(s):
+    try:
+        fc = fiberless_cover(s, suggest_cover_sheets(s))
+    except QuotientFinite:
+        return
+    if fc.symbol is not None:
+        assert b1(fc.symbol) >= b1(s)
+
+
+@DRAWS
+@given(closed_nonorientable_symbols)
+def test_the_orientation_double_cover_has_euler_sum_zero(s):
+    assert euler_sum(orientable_double_cover(s)).value == 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the group side "
+                   "reads b with the opposite sign")
+@DRAWS
+@given(few_fiber_nonorientable_symbols)
+def test_the_orientation_double_cover_does_not_lower_b1(s):
+    assert b1(orientable_double_cover(s)) >= b1(s)

@@ -111,6 +111,29 @@ def test_a_well_formed_call_loads_no_argparse_or_fractions(argv):
     assert proc.stdout.split() == [code, *json_too]
 
 
+NEGATIVE_CALLS = [(["lens", "fiber", "0", "-1", "1", "0", "1", "3"], 0),
+                  (["fst", "lift", "2", "-1", "2"], 0),
+                  (["group", "order", CLOSED_O, "--max-cosets", "-5"], 3)]
+
+
+@pytest.mark.parametrize("argv,code", NEGATIVE_CALLS,
+                         ids=lambda a: " ".join(a) if isinstance(a, list)
+                         else str(a))
+def test_a_call_with_negative_numbers_loads_no_argparse(argv, code):
+    # the table reads "-" and decimal digits as a number, as argparse does
+    env = dict(os.environ, PYTHONPATH=str(Path(seifert.__file__).parents[1]))
+    script = ("import contextlib, io, sys\n"
+              "from seifert.cli import run_cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+              "        contextlib.redirect_stderr(io.StringIO()):\n"
+              f"    code = run_cli({argv!r})\n"
+              f"print(code, *(m for m in {HEAVY!r} if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(code)]
+
+
 def test_help_and_usage_errors_still_come_from_argparse(capsys):
     from seifert.cli import run_cli
     assert run_cli(["report", "--bogus"]) == 2
@@ -120,3 +143,7 @@ def test_help_and_usage_errors_still_come_from_argparse(capsys):
     assert run_cli(["-h"]) == 0
     out, err = capsys.readouterr()
     assert out.startswith("usage: seifert [-h] {") and err == ""
+    # an abbreviation is argparse's to read
+    assert run_cli(["report", "--js", CLOSED_O]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith('{\n  "input": ') and err == ""

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import io
 import json
 import os
@@ -209,10 +208,6 @@ def worker(checkout: Path, mode: str, *args) -> int:
                 os.environ["SEIFERT_MAX_COSETS"] = budget
             sys.stdout.write(json.dumps({"call": _cli_call(cli, argv)}) + "\n")
         return 0
-    # build each argparse tree once: run_cli reads _parser at call time,
-    # and the cache keeps one tree per argument tuple, so this holds
-    # whether _parser takes no argument (the whole tree) or a command name
-    cli._parser = functools.lru_cache(maxsize=None)(cli._parser)
     for text in Path(args[0]).read_text().splitlines():
         rev = _cli_call(cli, ["reverse", text])
         rec = {**_report(cli, text),

@@ -8,7 +8,8 @@ byte-compiled, as tools/bench_pairs.py does. Every command below then
 runs --runs times through `python -m seifert` at each revision, in
 rounds that alternate the order of the two sides, beside a bare
 `python -c "import os; os._exit(0)"`: each command line of the
-benchmark's `calls` workload, on a closed class-O symbol. This process
+benchmark's `calls` workload, on a closed class-O symbol, then `lens
+fiber` with a negative int and `group order -h`. This process
 and its children are pinned to one CPU, and the children get the
 benchmark's environment: no PYTHON* or SEIFERT* variable, the
 checkout's src on the path and a fixed hash seed. The output holds the
@@ -33,7 +34,8 @@ from bench_pairs import git, unpack
 
 FINITE = "(O,o,0 | -1, (2,1), (3,1), (5,1))"
 HYPERBOLIC = "(O,o,0 | -1, (2,1), (3,1), (7,1))"
-# the argv shapes of perfbench's calls workload
+# the argv shapes of perfbench's calls workload, then two paths that it
+# does not cover: negative ints, read from the table, and argparse's help
 CALLS = {
     "report": ["report", FINITE],
     "report --json": ["report", "--json", FINITE],
@@ -42,6 +44,8 @@ CALLS = {
     "group order": ["group", "order", FINITE],
     "group order --max-cosets": ["group", "order", HYPERBOLIC,
                                  "--max-cosets", "20000"],
+    "lens fiber": ["lens", "fiber", "0", "-1", "1", "0", "1", "3"],
+    "group order -h": ["group", "order", "-h"],
 }
 BARE = ["-c", "import os; os._exit(0)"]
 
