@@ -164,7 +164,7 @@ def _long_relator_exponent(s: SeifertSymbol) -> int:
     presentation_texts (and so pi1_presentation), first_homology and, for
     sphere_h1_order and _sewing_q, lens.recognize_S2_symbol,
     topology.classify_small and topology.predicates look it up at call
-    time, and so do the builders of tests/presentation_oracle.py.
+    time, and so does pi1_presentation of tests/presentation_oracle.py.
     """
     return s.obstruction if s.class_part.total == "O" else s.obstruction[0]
 
