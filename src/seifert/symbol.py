@@ -9,9 +9,11 @@ Klein bottle counts), the obstruction term, and the list of crossing pairs.
 Text form: a token is a run of ASCII digits 0-9 or one other non-space
 character. Whitespace separates tokens and is otherwise ignored, so "1 0"
 is two integers while "N , n , I I ," reads as "N,n,II," and "- 5" as -5.
-parse_symbol matches the whole text with one compiled pattern of this
-grammar; a walker over the tokens reads only text the pattern refuses,
-and it alone names the error and its position.
+Each piece of this grammar is one regular expression. parse_symbol
+matches the whole text with one pattern built from them; a walker that
+matches the same pieces one at a time reads only text the pattern
+refuses, and it alone names the error and its position, the start of the
+token where a piece fails.
 
     symbol      := "(" class [";" bdry] "|" tail ")"
     class       := ("O,o," | "O,n," | "N,o," | "N,n,I," | "N,n,II," |
@@ -37,13 +39,11 @@ from __future__ import annotations
 import re
 from math import gcd
 
-from ._record import record, replace
+from ._record import record
 from .errors import InvalidSurface, ModeError, NotOriented, OutputTooLong, \
     ParseError, ValidityError
 from .fst import CrossingPair
 
-_CLASS_HEADS = ("O,o,", "O,n,", "N,o,", "N,n,I,", "N,n,II,", "N,n,III,")
-_TOKEN = r"[0-9]+|\S"  # compiled and cached by re on first use
 _INDEX_TWO = CrossingPair(2, 1)
 
 
@@ -188,67 +188,24 @@ class SeifertSymbol:
 # Parsing
 
 
-class _Tokens:
-    """The tokens of a symbol text, an empty string marking the end, and a
-    cursor over them. Text offsets are found only for an error."""
-
-    def __init__(self, text):
-        self.text = text
-        self.toks = re.findall(_TOKEN, text) + [""]
-        self.i = 0
-
-    def error(self, message, at=None):
-        starts = [m.start() for m in re.finditer(_TOKEN, self.text)]
-        starts.append(len(self.text))
-        return ParseError(message, starts[self.i if at is None else at])
-
-    def take(self, tok):
-        if self.toks[self.i] == tok:
-            self.i += 1
-            return True
-        return False
-
-    def expect(self, tok):
-        if not self.take(tok):
-            raise self.error(f"expected {tok!r}")
-
-    def take_int(self, signed=False):
-        """An INT, or a SIGNED_INT whose sign whitespace may follow."""
-        start = self.i
-        sign = ""
-        if signed and self.toks[start] in ("+", "-"):
-            sign = self.toks[start]
-            self.i += 1
-        digits = self.toks[self.i]
-        if not "0" <= digits[:1] <= "9":
-            raise self.error("expected an integer", start)
-        self.i += 1
-        try:
-            return int(sign + digits)
-        except ValueError:  # past the interpreter's int-to-str digit limit
-            raise self.error(f"integer of {len(digits)} digits is too long "
-                             f"to convert", start) from None
-
-    def take_word(self, words, what):
-        for w in words:
-            if self.toks[self.i:self.i + len(w)] == list(w):
-                self.i += len(w)
-                return w
-        raise self.error(f"expected {what}")
-
-
-# The grammar of the module docstring with whitespace between tokens. No
-# two \s* meet, and every choice but a digit or whitespace run is decided
-# by its first character, so a text the pattern refuses costs linear time.
-_SIGNED = r"(?:([+-])\s*)?([0-9]+)"
-_SYMBOL = re.compile(rf"""\s*\(\s*
-    (O\s*,\s*[on]|N\s*,\s*(?:o|n\s*,\s*I(?:\s*I){{0,2}}))\s*,\s*([0-9]+)
-    (?:\s*;\s*m\s*=\s*([0-9]+)(?:\s*,\s*k\s*b\s*=\s*([0-9]+))?)?
+# The grammar's pieces, each written once: _SYMBOL matches the whole text
+# with them and _walk_tokens one at a time. A class head captures itself
+# without its trailing comma, an INT its digits, a SIGNED_INT its sign and
+# digits. No two \s* meet, and every choice but a digit or whitespace run
+# is decided by its first character, so refused text costs linear time.
+_HEAD = r"(O\s*,\s*[on]|N\s*,\s*(?:o|n\s*,\s*I(?:\s*I){0,2}))\s*,"
+_M, _KB = r"m\s*=", r"k\s*b\s*="
+_INT = r"([0-9]+)"
+_SIGNED_INT = rf"(?:([+-])\s*)?{_INT}"
+_MARKER = r"-(?!\s*[0-9])"  # a "-" that a digit follows is the sign of b
+_PAIR = re.compile(rf"\(\s*{_SIGNED_INT}\s*,\s*{_SIGNED_INT}\s*\)")
+_SYMBOL = re.compile(rf"""\s*\(\s*{_HEAD}\s*{_INT}
+    (?:\s*;\s*{_M}\s*{_INT}(?:\s*,\s*{_KB}\s*{_INT})?)?
     \s*\|\s*
-    (?:(-)(?!\s*[0-9]) | \(\s*{_SIGNED}\s*,\s*([0-9]+)\s*\) | {_SIGNED})
-    ((?:\s*,\s*\(\s*(?:[+-]\s*)?[0-9]+\s*,\s*(?:[+-]\s*)?[0-9]+\s*\))*)
+    (?:({_MARKER}) | \(\s*{_SIGNED_INT}\s*,\s*{_INT}\s*\) | {_SIGNED_INT})
+    ((?:\s*,\s*{_PAIR.pattern})*)
     \s*\)\s*""", re.VERBOSE)
-_PAIR = re.compile(rf"\(\s*{_SIGNED}\s*,\s*{_SIGNED}")
+_SPACE = re.compile(r"\s*")
 
 
 def parse_symbol(text: str) -> SeifertSymbol:
@@ -260,15 +217,17 @@ def parse_symbol(text: str) -> SeifertSymbol:
     and built once, so normalize_symbol returns it unchanged.
 
     Well-formed text costs one pattern match and its int conversions.
-    The token walker reads only text the pattern refuses, a bounded symbol
-    that carries a b, and an integer past the int-to-str digit limit: it
-    names the error and its position.
+    The walker, which matches the same pieces one at a time, reads only
+    text the pattern refuses, a bounded symbol that carries a b, and an
+    integer past the int-to-str digit limit: it names the error and its
+    position.
     """
     m = _SYMBOL.fullmatch(text)
     if m is None:
         return _walk_tokens(text)
+    # the groups past the tail are the last pair's
     head, genus, tori, klein, dash, b_sign, b, s_count, sign, b_plain, tail = \
-        m.groups("")
+        m.groups("")[:11]
     try:
         genus, tori, klein = int(genus), int(tori or 0), int(klein or 0)
         if b_plain:
@@ -287,56 +246,76 @@ def parse_symbol(text: str) -> SeifertSymbol:
         return _walk_tokens(text)
     for mu, beta in pairs:
         _check_pair(mu, beta)
-    return _symbol("".join(head.split()), genus, tori, klein, obstruction,
-                   pairs)
+    return _symbol(head, genus, tori, klein, obstruction, pairs)
 
 
 def _walk_tokens(text):
-    """parse_symbol by a walk over the tokens, the one source of ParseError:
-    it checks each piece as it reads it and raises at the first fault."""
-    sc = _Tokens(text)
-    sc.expect("(")
-    head = sc.take_word(_CLASS_HEADS, "a class like O,o, or N,n,I,")
-    genus = sc.take_int()
-    boundary_tori = boundary_klein = 0
-    if sc.take(";"):
-        sc.take_word(("m=",), "m=")
-        boundary_tori = sc.take_int()
-        if sc.take(","):
-            sc.take_word(("kb=",), "kb=")
-            boundary_klein = sc.take_int()
-    sc.expect("|")
-    bounded = boundary_tori > 0 or boundary_klein > 0
-    # "-" is the bounded marker unless a digit follows it, as the sign of b
-    dash = sc.toks[sc.i] == "-"
-    if dash and not "0" <= sc.toks[sc.i + 1][:1] <= "9":
-        sc.i += 1
+    """parse_symbol by matching the grammar's pieces one at a time, the one
+    source of ParseError: it checks each piece as it reads it and raises
+    at the start of the token where one fails, past any whitespace."""
+    pos = _SPACE.match(text).end()
+
+    def take(piece):
+        """Match piece at pos; a match moves pos on to the next token."""
+        nonlocal pos
+        m = re.compile(piece).match(text, pos)
+        if m:
+            pos = _SPACE.match(text, m.end()).end()
+        return m
+
+    def expect(piece, what):
+        m = take(piece)
+        if m is None:
+            raise ParseError(f"expected {what}", pos)
+        return m
+
+    def take_int(piece=_INT):
+        m = expect(piece, "an integer")
+        try:
+            return int("".join(m.groups("")))
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            raise ParseError(f"integer of {len(m.groups()[-1])} digits is "
+                             f"too long to convert", m.start()) from None
+
+    expect(r"\(", "'('")
+    head = expect(_HEAD, "a class like O,o, or N,n,I,")[1]
+    genus = take_int()
+    tori = klein = 0
+    if take(";"):
+        expect(_M, "m=")
+        tori = take_int()
+        if take(","):
+            expect(_KB, "kb=")
+            klein = take_int()
+    expect(r"\|", "'|'")
+    bounded = tori > 0 or klein > 0
+    if take(_MARKER):
         obstruction = None
         _check_marker(bounded)
-    elif bounded:  # the error points at b, past any sign
-        raise sc.error('bounded symbols start the tail with "-"', sc.i + dash)
-    elif sc.take("("):
-        b = sc.take_int(signed=True)
-        sc.expect(",")
-        s_count = sc.take_int()
-        sc.expect(")")
+    elif bounded:  # the error points at b, past any "-" sign
+        take("-")
+        raise ParseError('bounded symbols start the tail with "-"', pos)
+    elif take(r"\("):
+        b = take_int(_SIGNED_INT)
+        expect(",", "','")
+        s_count = take_int()
+        expect(r"\)", "')'")
         obstruction = (b, s_count)
     else:
-        obstruction = sc.take_int(signed=True)
+        obstruction = take_int(_SIGNED_INT)
     pairs = []
-    while sc.take(","):
-        sc.expect("(")
-        mu = sc.take_int(signed=True)
-        sc.expect(",")
-        beta = sc.take_int(signed=True)
-        sc.expect(")")
+    while take(","):
+        expect(r"\(", "'('")
+        mu = take_int(_SIGNED_INT)
+        expect(",", "','")
+        beta = take_int(_SIGNED_INT)
+        expect(r"\)", "')'")
         _check_pair(mu, beta)
         pairs.append((mu, beta))
-    sc.expect(")")
-    if sc.toks[sc.i]:
-        raise sc.error("trailing text after the symbol")
-    return _symbol(head[:-1], genus, boundary_tori, boundary_klein,
-                   obstruction, pairs)
+    expect(r"\)", "')'")
+    if pos < len(text):
+        raise ParseError("trailing text after the symbol", pos)
+    return _symbol(head, genus, tori, klein, obstruction, pairs)
 
 
 def _check_marker(bounded):
@@ -353,8 +332,8 @@ def _check_pair(mu, beta):
 
 def _symbol(head, genus, tori, klein, obstruction, pairs):
     """The checks left once the pairs are read, in the walker's order, and
-    the marked normal form. head is a class head like "N,n,II"."""
-    total, orbit, *rest = head.split(",")
+    the marked normal form. head is a class head like "N , n , II"."""
+    total, orbit, *rest = "".join(head.split()).split(",")
     cp = ClassPart(total, orbit, genus, rest[0] if rest else None)
     if tori or klein:
         obstruction = (0, 0)
@@ -464,9 +443,9 @@ def reverse_orientation(s: SeifertSymbol) -> SeifertSymbol:
     if s.class_part.total != "O":
         raise NotOriented("non-orientable spaces carry no orientation")
     s = normalize_symbol(s)
-    pairs = tuple(CrossingPair(p.mu, p.mu - p.beta) for p in s.pairs)
-    b = None if s.is_bounded else -len(pairs) - s.obstruction
-    return normalize_symbol(replace(s, obstruction=b, pairs=pairs))
+    b = 0 if s.is_bounded else -len(s.pairs) - s.obstruction
+    return _normal_form(s.class_part, s.boundary_tori, s.boundary_klein, b, 0,
+                        [(p.mu, p.mu - p.beta) for p in s.pairs])
 
 
 class EquivalenceMode:

@@ -121,11 +121,6 @@ closed_oriented_symbols = _wrap(random_closed_oriented)
 closed_nonorientable_symbols = _wrap(random_closed_nonorientable)
 bounded_symbols = _wrap(random_bounded)
 any_symbols = _wrap(random_symbol)
-# at most 3 listed fibers: small enough that tests/snf_oracle.py ranks the
-# group of the orientation double cover in a millisecond (its entries grow
-# past reach on some covers of 12 fibers or more)
-few_fiber_nonorientable_symbols = _wrap(
-    partial(random_closed_nonorientable, n_max=3))
 # up to 12 fibers in runs of equal pairs, indices up to 10^6 and past 10^30
 fibered_symbols = _wrap(random_fibered)
 # genus up to 12 over every class, closed and bounded, for properties of

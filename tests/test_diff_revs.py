@@ -1,7 +1,8 @@
 """tools/diff_revs.py: a commit against itself differs nowhere, --expect
 passes only a run that matches its file exactly, the box holds every
-closed (O,o,0) symbol it promises, and the worker records the bytes that
-`report --stdin` writes."""
+closed (O,o,0) symbol it promises, the edited golden lines are seeded and
+mostly parse errors, and the worker records the bytes that `report
+--stdin` writes."""
 
 import importlib.util
 import json
@@ -12,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from seifert import (fuchsian_quotient, parse_symbol, pi1_presentation,
-                     render_symbol)
+from seifert import (InputError, ParseError, fuchsian_quotient,
+                     parse_symbol, pi1_presentation, render_symbol)
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "diff_revs.py"
@@ -36,7 +37,7 @@ def test_head_against_head_finds_no_difference(tmp_path):
     inputs = json.loads(out.read_text())["inputs"]
     assert {name: (res["symbols"], res["differences"])
             for name, res in inputs.items()} == \
-        {"golden": (200, {}), "draws": (200, {})}
+        {"golden": (200, {}), "draws": (200, {}), "edits": (200, {})}
 
 
 @pytest.mark.skipif(not _has_head(), reason="needs a git checkout")
@@ -104,13 +105,30 @@ def test_the_box_holds_every_closed_sphere_symbol(monkeypatch):
     assert all(render_symbol(parse_symbol(t)) == t for t in texts[::997])
 
 
+def test_edited_golden_lines_are_seeded_and_mostly_parse_errors(monkeypatch):
+    diff_revs = _load_tool(monkeypatch)
+    golden = (ROOT / "tests" / "data" / "golden_symbols.txt").read_text() \
+        .splitlines()
+    texts = diff_revs.edit_texts(golden, 18, 2000)
+    assert texts == diff_revs.edit_texts(golden, 18, 2000)
+    assert len(texts) == 2000 and set(texts) - set(golden)
+    errors = 0
+    for text in texts:
+        try:
+            parse_symbol(text)
+        except InputError as exc:
+            errors += isinstance(exc, ParseError)
+    assert errors >= 1000
+
+
 def test_the_worker_records_the_bytes_report_stdin_writes(tmp_path):
     # golden lines, an error line and a non-ASCII one: each worker record's
     # report.line is the line `report --stdin` writes for its symbol
     golden = (ROOT / "tests" / "data" / "golden_symbols.txt").read_text()
     texts = golden.splitlines()[:20] + ["(O,o,0 | 1, (2,3))",
                                         "(O,o,0 | 1, (2,é))"]
-    (tmp_path / "texts.txt").write_text("".join(t + "\n" for t in texts))
+    (tmp_path / "texts.txt").write_text(
+        "".join(json.dumps(t) + "\n" for t in texts))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "tests")])}
     worker = subprocess.run(

@@ -141,6 +141,20 @@ PARSE_ERROR_SITES = [
      "integer of 5000 digits is too long to convert", 9),
     ("(O,o,0; m=1 | 5)", 'bounded symbols start the tail with "-"', 14),
     ("(O,o,0 | 1) x", "trailing text after the symbol", 12),
+    ("(O,o,0 | 1, 2)", "expected '('", 12),
+    ("(O,o,x | 1)", "expected an integer", 5),
+    ("(O,o,0; m=x | -)", "expected an integer", 10),
+    ("(N,o,0; m=0, kb=x | -)", "expected an integer", 16),
+    # the error points at b, past the "-" sign and the whitespace after it
+    ("(O,o,0; m=1 | - 5)", 'bounded symbols start the tail with "-"', 16),
+    ("(N,o,1 | (0 0))", "expected ','", 12),
+    ("(N,o,1 | (0,x))", "expected an integer", 12),
+    ("(N,o,1 | (0,0 x", "expected ')'", 14),
+    ("(O,o,0 | 1, (2 1))", "expected ','", 15),
+    ("(O,o,0 | 1, (2,1 x", "expected ')'", 17),
+    ("(O,o,0 | 1, (2,1)", "expected ')'", 17),
+    ("(N,n,IIII,4 | (0,0))", "expected a class like O,o, or N,n,I,", 1),
+    ("(O , o , 0 ; m = 1 | - , (2 , 1) , 3)", "expected '('", 35),
 ]
 
 
@@ -207,7 +221,7 @@ def test_parse_matches_the_old_scanner(text):
 
 @pytest.mark.parametrize("text", [t for t, _, _ in PARSE_ERROR_SITES] + [
     "(N , n , I I I , 3 | (0,1))", "(O,o,0 | - 5)", "(O,o,0; m=1 | -",
-    "(O,o,0; m=1 | - 5)", "(O,o,0; m=1 | -5)", "(O,o,0 | -)",
+    "(O,o,0; m=1 | -5)", "(O,o,0 | -)",
     "(O,o,0 | \u00b2)", "(O,o,0 | \u0663)", "(O,o,0 | -" + "9" * 5000 + ")",
     "(O,o,0 | 1, (0,1))", "(O,o,0 | 1, (2,4))", "(O,o,0 | (1,0))",
 ], ids=_case_id)
@@ -330,7 +344,7 @@ def test_the_pattern_reads_every_text_the_walker_reads(text):
 
 
 @pytest.mark.parametrize("text", [t for t, _, _ in PARSE_ERROR_SITES] + [
-    "(O,o,0; m=1 | - 5)", "(O,o,0; m=1 | -5)", "(O,o,0 | -)",
+    "(O,o,0; m=1 | -5)", "(O,o,0 | -)",
     "(O,o,0 | 1, (0,1))", "(O,o,0 | 1, (2,4))", "(O,o,0 | (1,0))",
     "(O,o,0 | -, (2,4))", "(N,n,III,2 | (0,0), (0,1))",
     "(O,o,0 | 1, (2,4), (3," + "9" * 5000 + "))",

@@ -9,7 +9,11 @@ imports the package from its own checkout. The inputs are the old
 revision's golden symbols (--golden), --draws symbols from
 symbolgen.random_symbol with random.Random(--seed) (drawn in the old
 checkout), and every closed (O,o,0) symbol with at most 3 fibers of index
-up to 13, any beta, and b from -6 to 6 (--box, 444,860 symbols).
+up to 13, any beta, and b from -6 to 6 (--box, 444,860 symbols). --draws
+also builds the set edits: as many golden lines of the old revision, each
+with 1-4 random insertions, deletions or replacements from EDIT_CHARS,
+drawn by random.Random(--seed), so that most are parse errors and their
+messages and positions are compared too.
 
 Per symbol it compares the line that `report --stdin` writes for it,
 byte for byte (report.line) and key by key (report.input, report.pi1,
@@ -26,11 +30,13 @@ and exit code. It prints the differences per key and writes them to
 differs, 1 otherwise. Standard library only.
 
 A change that alters outputs on purpose states them with --expect FILE,
-a JSON object that maps each input set to its expected differences per
-key, and golden to the list of its differing inputs as well:
+a JSON object that maps each input set (golden, draws, edits, box, argv)
+to its expected differences per key, and golden to the list of its
+differing inputs as well:
 
     {"golden": {"differences": {"report.h1": 66, ...}, "inputs": [...]},
-     "draws": {"differences": {...}}, "argv": {"differences": {}}}
+     "draws": {"differences": {...}}, "edits": {"differences": {...}},
+     "argv": {"differences": {}}}
 
 The "expect" entry of --out holds this object for the run. With --expect
 the tool exits 0 only when the run matches the file exactly, and 1 on any
@@ -45,6 +51,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -56,6 +63,7 @@ from pathlib import Path
 from bench_pairs import git, unpack
 
 EXAMPLES = 5
+EDIT_CHARS = " \t\n+-()|,;=0123456789ONIonmkb\u00b2\u0663"
 
 
 def box_texts():
@@ -69,8 +77,24 @@ def box_texts():
                 yield f"(O,o,0 | {', '.join((str(b),) + chosen)})"
 
 
+def edit_texts(lines, seed: int, count: int) -> list:
+    """count of lines drawn by random.Random(seed), each with 1-4 random
+    insertions, deletions or replacements from EDIT_CHARS."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        text = rng.choice(lines)
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randint(0, len(text))
+            edit = rng.choice(("insert", "delete", "replace"))
+            c = "" if edit == "delete" else rng.choice(EDIT_CHARS)
+            text = text[:k] + c + text[k + (edit != "insert"):]
+        out.append(text)
+    return out
+
+
 def argv_lines():
-    """The command lines of --argv, each as JSON [budget, argv]: every
+    """The command lines of --argv, each as [budget, argv]: every
     command's plain form, help at every depth, a positional too few and
     too many, abbreviated options, exclusive flags together, the
     --max-cosets forms and negative ints, with SEIFERT_MAX_COSETS unset
@@ -117,7 +141,7 @@ def argv_lines():
         ["--max-cosets"], ["--max-cosets", "5", "--max-cosets", "6"],
         ["--max-cosets", "-5"], ["--max-cosets", "abc"], ["--max-cosets", "0"],
         ["--max-cosets", "1_000"], ["--max-cosets", ""])]
-    return [json.dumps([budget, argv]) for budget in (None, "abc", "250")
+    return [[budget, argv] for budget in (None, "abc", "250")
             for argv in lines]
 
 
@@ -139,7 +163,8 @@ def draw_texts(checkout: Path, seed: int, count: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# The worker: runs in a checkout's package and prints one JSON line a symbol
+# The worker: runs in a checkout's package, reads one JSON input a line (a
+# symbol text may hold a line break) and prints one JSON line an input
 
 
 def _cli_call(cli, argv, stdin="") -> list:
@@ -194,21 +219,21 @@ def worker(checkout: Path, mode: str, *args) -> int:
     if checkout.resolve() not in Path(seifert.__file__).resolve().parents:
         raise SystemExit(f"imported {seifert.__file__}, not from {checkout}")
     if mode == "draws":
-        import random
         from symbolgen import random_symbol
         rng = random.Random(int(args[0]))
         for _ in range(int(args[1])):
             print(seifert.render_symbol(random_symbol(rng)))
         return 0
+    inputs = [json.loads(line)
+              for line in Path(args[0]).read_text().splitlines()]
     if mode == "argv":
-        for line in Path(args[0]).read_text().splitlines():
-            budget, argv = json.loads(line)
+        for budget, argv in inputs:
             os.environ.pop("SEIFERT_MAX_COSETS", None)
             if budget is not None:
                 os.environ["SEIFERT_MAX_COSETS"] = budget
             sys.stdout.write(json.dumps({"call": _cli_call(cli, argv)}) + "\n")
         return 0
-    for text in Path(args[0]).read_text().splitlines():
+    for text in inputs:
         rev = _cli_call(cli, ["reverse", text])
         rec = {**_report(cli, text),
                "presentations": _call(_presentations, text),
@@ -237,7 +262,7 @@ def compare(texts, dirs, mode="eval", keep_inputs=False) -> dict:
     """Run both workers on texts at once and count differences per key;
     keep_inputs lists every differing input too."""
     with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as f:
-        f.write("".join(t + "\n" for t in texts))
+        f.write("".join(json.dumps(t) + "\n" for t in texts))
     try:
         procs = [subprocess.Popen(_worker_argv(d, mode, f.name), env=_env(d),
                                   stdin=subprocess.DEVNULL,
@@ -314,7 +339,8 @@ def main(argv=None) -> int:
     ap.add_argument("--golden", action="store_true",
                     help="the golden symbols of the old revision")
     ap.add_argument("--draws", type=int, default=0,
-                    help="symbolgen.random_symbol draws")
+                    help="symbolgen.random_symbol draws, and as many "
+                    "edited golden lines")
     ap.add_argument("--seed", type=int, default=0, help="seed of the draws")
     ap.add_argument("--box", action="store_true",
                     help="the closed (O,o,0) box of 444,860 symbols")
@@ -335,12 +361,14 @@ def main(argv=None) -> int:
             dirs["new"] = dirs["old"]
         else:
             unpack(commits["new"], dirs["new"])
+        golden = (dirs["old"] / "tests" / "data" / "golden_symbols.txt") \
+            .read_text().splitlines()
         sources = {}
         if args.golden:
-            golden = dirs["old"] / "tests" / "data" / "golden_symbols.txt"
-            sources["golden"] = golden.read_text().splitlines()
+            sources["golden"] = golden
         if args.draws:
             sources["draws"] = draw_texts(dirs["old"], args.seed, args.draws)
+            sources["edits"] = edit_texts(golden, args.seed, args.draws)
         if args.box:
             sources["box"] = list(box_texts())
         results = {name: compare(texts, (dirs["old"], dirs["new"]),
