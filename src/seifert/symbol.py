@@ -198,14 +198,14 @@ _M, _KB = r"m\s*=", r"k\s*b\s*="
 _INT = r"([0-9]+)"
 _SIGNED_INT = rf"(?:([+-])\s*)?{_INT}"
 _MARKER = r"-(?!\s*[0-9])"  # a "-" that a digit follows is the sign of b
-_PAIR = re.compile(rf"\(\s*{_SIGNED_INT}\s*,\s*{_SIGNED_INT}\s*\)")
+_PAIR = re.compile(rf"\(\s*{_SIGNED_INT}\s*,\s*{_SIGNED_INT}")
 _SYMBOL = re.compile(rf"""\s*\(\s*{_HEAD}\s*{_INT}
     (?:\s*;\s*{_M}\s*{_INT}(?:\s*,\s*{_KB}\s*{_INT})?)?
     \s*\|\s*
     (?:({_MARKER}) | \(\s*{_SIGNED_INT}\s*,\s*{_INT}\s*\) | {_SIGNED_INT})
-    ((?:\s*,\s*{_PAIR.pattern})*)
+    ((?:\s*,\s*{_PAIR.pattern}\s*\))*)
     \s*\)\s*""", re.VERBOSE)
-_SPACE = re.compile(r"\s*")
+_SPACE = r"\s*"  # compiled and cached by re on first use, as each piece is
 
 
 def parse_symbol(text: str) -> SeifertSymbol:
@@ -253,14 +253,14 @@ def _walk_tokens(text):
     """parse_symbol by matching the grammar's pieces one at a time, the one
     source of ParseError: it checks each piece as it reads it and raises
     at the start of the token where one fails, past any whitespace."""
-    pos = _SPACE.match(text).end()
+    pos = re.compile(_SPACE).match(text).end()
 
     def take(piece):
         """Match piece at pos; a match moves pos on to the next token."""
         nonlocal pos
         m = re.compile(piece).match(text, pos)
         if m:
-            pos = _SPACE.match(text, m.end()).end()
+            pos = re.compile(_SPACE).match(text, m.end()).end()
         return m
 
     def expect(piece, what):

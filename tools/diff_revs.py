@@ -78,8 +78,8 @@ def box_texts():
 
 
 def edit_texts(lines, seed: int, count: int) -> list:
-    """count of lines drawn by random.Random(seed), each with 1-4 random
-    insertions, deletions or replacements from EDIT_CHARS."""
+    """count texts, each a line drawn by random.Random(seed) with 1-4
+    random insertions, deletions or replacements from EDIT_CHARS."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -341,7 +341,7 @@ def main(argv=None) -> int:
     ap.add_argument("--draws", type=int, default=0,
                     help="symbolgen.random_symbol draws, and as many "
                     "edited golden lines")
-    ap.add_argument("--seed", type=int, default=0, help="seed of the draws")
+    ap.add_argument("--seed", type=int, default=0, help="seed of the draws and edits")
     ap.add_argument("--box", action="store_true",
                     help="the closed (O,o,0) box of 444,860 symbols")
     ap.add_argument("--argv", action="store_true",
