@@ -1,8 +1,9 @@
 """Topological predicates: small spaces, flat members, and the report.
 
-classify_small names every space whose Fuchsian quotient is finite, the
-flat family is a fixed finite list, and predicates() bundles the usual
-3-manifold properties into one report with its implications enforced.
+classify_small names every space whose Fuchsian quotient is finite,
+is_flat reads the base orbifold's Euler characteristic and the Euler
+number, and predicates() bundles the usual 3-manifold properties into
+one report with its implications enforced.
 """
 
 from seifert import (ExcludedSpace, bounded_equivalent, classify_small,
@@ -27,8 +28,9 @@ for text in symbols:
 
 print()
 print("== flat members ==")
-# membership is a lookup against a fixed list: eleven closed symbols
-# and five bounded ones, compared after normalization
+# flat exactly when the base orbifold has Euler characteristic 0 and the
+# Euler number is 0: the last row fibers over the Euclidean triangle
+# orbifold S2(2,3,6)
 for text in [
     "(O,o,1 | 0)",
     "(O,o,1 | -1, (1,1))",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 
 from ._record import record
 from .arith import IntMatrix, _chain, _two_row_factors, _xgcd, \
@@ -652,13 +652,19 @@ def signature_of_symbol(s: SeifertSymbol) -> FuchsianSignature:
                              s.boundary_tori + s.boundary_klein, degrees)
 
 
+def _orbifold_chi_terms(chi0: int, degrees) -> tuple:
+    """The orbifold Euler characteristic chi0 - sum(1 - 1/d) of a surface
+    of characteristic chi0 with cone points of the given degrees, as
+    integers (total, m): it is total/m over the lcm m of the degrees, not
+    reduced."""
+    m = lcm(*degrees)
+    return chi0 * m - sum(m - m // d for d in degrees), m
+
+
 def fuchsian_euler(sig: FuchsianSignature) -> Fraction:
     """Orbifold Euler characteristic (2 - s - m) - sum(1 - 1/d)."""
     from fractions import Fraction  # on first use: it loads decimal too
-    chi = Fraction(2 - sig.s - sig.m)
-    for d in sig.degrees:
-        chi -= 1 - Fraction(1, d)
-    return chi
+    return Fraction(*_orbifold_chi_terms(2 - sig.s - sig.m, sig.degrees))
 
 
 class SizeClass(Enum):
@@ -667,34 +673,16 @@ class SizeClass(Enum):
     NEGATIVE_CHI = "negative-chi"
 
 
-_ZERO_CHI_TABLE = frozenset([
-    (True, 0, 0, (2, 2, 2, 2)),
-    (True, 0, 0, (2, 3, 6)),
-    (True, 0, 0, (2, 4, 4)),
-    (True, 0, 0, (3, 3, 3)),
-    (True, 0, 1, (2, 2)),
-    (True, 0, 2, ()),
-    (True, 2, 0, ()),
-    (False, 1, 0, (2, 2)),
-    (False, 1, 1, ()),
-    (False, 2, 0, ()),
-])
-
-
 def fuchsian_size_class(sig: FuchsianSignature) -> SizeClass:
     """Finite, zero-chi or negative-chi, by the sign of the characteristic.
 
     Positive characteristic means a finite quotient group; zero means
     infinite but with every subgroup-growth invariant flat; negative means
-    word-hyperbolic-sized. The zero case is additionally cross-checked
-    against the closed-form list of zero-characteristic signatures.
+    word-hyperbolic-sized.
     """
-    chi = fuchsian_euler(sig)
-    if chi > 0:
+    total, _ = _orbifold_chi_terms(2 - sig.s - sig.m, sig.degrees)
+    if total > 0:
         return SizeClass.FINITE
-    if chi == 0:
-        key = (sig.orientable, sig.s, sig.m, tuple(sorted(sig.degrees)))
-        if key not in _ZERO_CHI_TABLE:
-            raise InternalError(f"unexpected zero-chi signature {key}")
+    if total == 0:
         return SizeClass.ZERO_CHI
     return SizeClass.NEGATIVE_CHI

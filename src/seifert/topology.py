@@ -2,9 +2,9 @@
 asphericity, finiteness and the incompressible-surface criterion.
 
 A symbol is "small" when its Fuchsian quotient is finite; everything
-small is recognized by name. The "flat" family is a fixed finite list
-of symbols with special fiber-uniqueness behavior. Symbols outside both
-families satisfy a uniform block of positivity results; the one refined
+small is recognized by name. A symbol is "flat" when its base orbifold
+has Euler characteristic 0 and its Euler number is 0. Symbols that are
+not small satisfy a uniform block of positivity results; the one refined
 question, existence of an incompressible surface for sphere bases with
 exactly three exceptional fibers, is decided by the first homology.
 """
@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from . import groups
 from ._record import record
+from .covers import _euler_terms
 from .errors import ExcludedSpace, ValidityError
 from .fst import CrossingPair
 from .lens import (_S2, SmallResult, lens_normalize, recognize_S2_symbol,
                    sphere_h1_order)
 from .symbol import (ClassPart, EquivalenceMode, SeifertSymbol, normalize_symbol,
-                     parse_symbol, symbols_equivalent)
+                     symbols_equivalent)
 
 _P2_N = ClassPart("N", "n", 1, "I")
 _P2_O = ClassPart("O", "n", 1)
@@ -81,45 +82,37 @@ def classify_small(s: SeifertSymbol) -> SmallResult | None:
     return None
 
 
-_FLAT_CLOSED_TEXT = [
-    "(O,o,0 | -2, (2,1), (2,1), (2,1), (2,1))",
-    "(O,o,1 | 0)",
-    "(N,o,1 | (0,0))",
-    "(N,o,1 | (1,0))",
-    "(O,n,1 | -1, (2,1), (2,1))",
-    "(N,n,I,1 | (0,2))",
-    "(O,n,2 | 0)",
-    "(N,n,I,2 | (0,0))",
-    "(N,n,I,2 | (1,0))",
-    "(N,n,II,2 | (0,0))",
-    "(N,n,II,2 | (1,0))",
-]
+def _zero_chi(s: SeifertSymbol) -> bool:
+    """Whether the base orbifold of a normal form has chi^orb = 0.
 
-_FLAT_BOUNDED_TEXT = [
-    "(O,o,0; m=1 | -, (2,1), (2,1))",
-    "(O,o,0; m=2 | -)",
-    "(N,o,0; m=0, kb=2 | -)",
-    "(O,n,1; m=1 | -)",
-    "(N,n,I,1; m=1 | -)",
-]
-
-
-# (the whole flat family, its bounded part) as sets of normal forms,
-# parsed by the first call of _flat_sets: most command lines never ask
-_FLAT = None
-
-
-def _flat_sets():
-    global _FLAT
-    if _FLAT is None:
-        bounded = frozenset(parse_symbol(t) for t in _FLAT_BOUNDED_TEXT)
-        _FLAT = (bounded.union(map(parse_symbol, _FLAT_CLOSED_TEXT)), bounded)
-    return _FLAT
+    chi^orb is chi0 - sum(1 - 1/mu) over the n exceptional fibers, with
+    chi0 = 2 - s - m the orbit surface's characteristic. Each term lies in
+    [1/2, 1), so chi^orb = 0 needs n = chi0 = 0 or n <= 2 chi0 < 2n, and
+    only then is the sum taken.
+    """
+    cp = s.class_part
+    chi0 = (2 - (2 * cp.genus if cp.orbit == "o" else cp.genus)
+            - s.boundary_tori - s.boundary_klein)
+    n = s.fiber_count
+    if not (n == chi0 == 0 or n <= 2 * chi0 < 2 * n):
+        return False
+    mus = [p.mu for p in s.expanded_pairs()]
+    return groups._orbifold_chi_terms(chi0, mus)[0] == 0
 
 
 def is_flat(s: SeifertSymbol) -> bool:
-    """Membership in the fixed flat family (eleven closed, five bounded)."""
-    return normalize_symbol(s) in _flat_sets()[0]
+    """Whether the space is flat: chi^orb = 0 and e = 0.
+
+    A closed Seifert space is Euclidean exactly when its base orbifold
+    has chi^orb = 0 and its Euler number is 0 (Scott, The geometries of
+    3-manifolds, 1983, Table 4.1). e is the Euler sum of a closed class-O
+    symbol; a class-N symbol reads as e = 0, since its orientation double
+    cover has Euler sum 0. The bounded symbols with chi^orb = 0 are the
+    five I-bundles over the torus and the Klein bottle, all flat.
+    """
+    s = normalize_symbol(s)
+    return _zero_chi(s) and (s.is_bounded or s.class_part.total == "N"
+                             or _euler_terms(s)[0] == 0)
 
 
 @record
@@ -217,7 +210,7 @@ def bounded_equivalent(s1: SeifertSymbol, s2: SeifertSymbol) -> bool:
             raise ValidityError("bounded_equivalent needs bounded symbols")
         if _is_solid_torus_schema(s):
             raise ExcludedSpace("solid torus (fibered solid torus symbol)")
-        if s in _flat_sets()[1]:
+        if _zero_chi(s):
             raise ExcludedSpace("I-bundle over the torus or Klein bottle")
         out.append(s)
     return symbols_equivalent(out[0], out[1], EquivalenceMode.UNORIENTED_FIBER)

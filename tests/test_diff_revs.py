@@ -2,7 +2,7 @@
 passes only a run that matches its file exactly, the box holds every
 closed (O,o,0) symbol it promises, the edited golden lines are seeded and
 mostly parse errors, and the worker records the bytes that `report
---stdin` writes."""
+--stdin` writes, or the argv report of a text with a line break."""
 
 import importlib.util
 import json
@@ -15,6 +15,7 @@ import pytest
 
 from seifert import (InputError, ParseError, fuchsian_quotient,
                      parse_symbol, pi1_presentation, render_symbol)
+from seifert.cli import build_report
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "diff_revs.py"
@@ -148,3 +149,25 @@ def test_the_worker_records_the_bytes_report_stdin_writes(tmp_path):
     assert records[0]["presentations"] == [
         repr(build(parse_symbol(texts[0])))
         for build in (pi1_presentation, fuchsian_quotient)]
+
+
+def test_a_text_with_a_line_break_is_reported_through_argv(tmp_path):
+    # stdin would read such a text as two lines, so the worker passes it
+    # as one argument to `report --json`
+    texts = ["(O,o,0 |\n -1, (2,1), (3,1), (5,1))", "(O,o,0 | 1,\n (2,é))",
+             "(O,o,0 | 1)\n(O,o,0 | 2)"]
+    (tmp_path / "texts.txt").write_text(
+        "".join(json.dumps(t) + "\n" for t in texts))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tests")])}
+    worker = subprocess.run(
+        [sys.executable, str(TOOL), "--worker", str(ROOT), "eval",
+         str(tmp_path / "texts.txt")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    records = [json.loads(line) for line in worker.stdout.splitlines()]
+    assert len(records) == len(texts)
+    assert records[0]["report"] == build_report(texts[0])
+    assert json.loads(records[0]["report.line"]) == records[0]["report"]
+    for rec in records[1:]:
+        out, err, code = rec["report"]["argv"]
+        assert (out, code) == ("", 2) and err.startswith("error: ")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seifert import (AbelianGroup, ClassPart, CrossingPair, FuchsianSignature,
-                     IntMatrix, InternalError, InvalidIndex, LimitTooSmall,
+                     IntMatrix, InvalidIndex, LimitTooSmall,
                      OutputTooLong, Presentation, SeifertSymbol, SizeClass,
                      ValidityError,
                      abelianization, classify_small, coset_enumerate,
@@ -804,11 +804,17 @@ def test_size_class_examples():
         FuchsianSignature(True, 4, 0, ())) == SizeClass.NEGATIVE_CHI
 
 
-def test_size_class_zero_chi_cross_check_survives_optimization(monkeypatch):
-    # an explicit raise, unlike an assert, is not stripped by python -O
-    monkeypatch.setattr("seifert.groups._ZERO_CHI_TABLE", frozenset())
-    with pytest.raises(InternalError):
-        fuchsian_size_class(FuchsianSignature(True, 0, 0, (2, 3, 6)))
+@given(st.booleans(), st.integers(0, 4), st.integers(0, 3),
+       st.lists(st.integers(2, 12), max_size=5))
+def test_euler_and_size_class_match_the_fraction_sum(orientable, s, m,
+                                                     degrees):
+    s += (s % 2) if orientable else (s == 0)
+    sig = FuchsianSignature(orientable, s, m, tuple(degrees))
+    chi = 2 - s - m - sum(1 - Fraction(1, d) for d in degrees)
+    assert fuchsian_euler(sig) == chi
+    assert fuchsian_size_class(sig) == (
+        SizeClass.FINITE if chi > 0 else SizeClass.ZERO_CHI if chi == 0
+        else SizeClass.NEGATIVE_CHI)
 
 
 def test_signature_of_closed_symbol():

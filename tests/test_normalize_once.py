@@ -4,16 +4,21 @@ they build, and normalize_symbol trusts the mark.
 The mark must be invisible (equality, hashing, repr), must never outlive
 a change of the data (seifert.replace, the constructor), and must
 make every later normalization free. parse_symbol builds the normal form
-straight from the text, so a report builds exactly one symbol per line,
-and each of its crossing pairs once.
+straight from the text, so a report parses one text, its own, even the
+first in an interpreter, builds exactly one symbol per line, and each of
+its crossing pairs once.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import seifert
 from seifert import (CrossingPair, NotClosedOriented, SeifertSymbol,
                      euler_sum, normalize_symbol, parse_symbol, replace,
                      reverse_orientation)
@@ -90,6 +95,31 @@ def test_build_report_builds_each_normal_pair_once(monkeypatch):
         built.clear()
         build_report(line)
         assert built == list(pairs), f"{line}: built {built}"
+
+
+@pytest.mark.parametrize("text", [
+    "(O,o,0 | -1, (2,1), (3,1), (5,1))", "(O,o,0 | -1, (2,1), (3,1), (6,1))",
+    "(O,o,0; m=2 | -)", "(N,n,I,2 | (1,0))", "(O,o,0 | 1, (2,3))"])
+def test_one_report_parses_one_symbol_in_a_fresh_interpreter(text):
+    # a fresh interpreter, so that no earlier call has filled a cache; a
+    # profile hook counts the calls however parse_symbol was imported
+    env = dict(os.environ, PYTHONPATH=str(Path(seifert.__file__).parents[1]))
+    code = ("import contextlib, io, sys\n"
+            "from seifert.cli import run_cli\n"
+            "from seifert.symbol import parse_symbol\n"
+            "calls = []\n"
+            "def count(frame, event, arg):\n"
+            "    if event == 'call' and frame.f_code is parse_symbol.__code__:\n"
+            "        calls.append(1)\n"
+            "sys.setprofile(count)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = run_cli(['report', {text!r}])\n"
+            "sys.setprofile(None)\n"
+            "print(code, len(calls))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
 
 
 @given(any_symbols)

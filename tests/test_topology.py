@@ -1,7 +1,8 @@
 """Small/flat taxonomy, predicate block, bounded homeomorphism test."""
 
 import inspect
-from itertools import combinations_with_replacement
+from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from math import gcd
 
 import pytest
@@ -9,15 +10,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seifert import (ClassPart, CrossingPair, ExcludedSpace, LensParams,
-                     SeifertSymbol, SizeClass, ValidityError, abelianization,
-                     bounded_equivalent, classify_small, coset_enumerate,
-                     euler_sum, first_homology, fuchsian_size_class, is_flat,
+                     QuotientFinite, SeifertSymbol, SizeClass, ValidityError,
+                     abelianization, bounded_equivalent, classify_small,
+                     coset_enumerate, euler_sum, fiberless_cover,
+                     first_homology, fuchsian_size_class, is_flat,
                      lens_normalize, normalize_symbol, parse_symbol,
-                     pi1_presentation, predicates, signature_of_symbol,
-                     sphere_h1_order, triangle_info)
+                     pi1_presentation, predicates, render_symbol,
+                     signature_of_symbol, sphere_h1_order,
+                     suggest_cover_sheets, triangle_info)
 from seifert.cli import run_cli
 from seifert.groups import _long_relator_exponent
-from seifert.topology import _FLAT_BOUNDED_TEXT, _FLAT_CLOSED_TEXT
 from symbolgen import (any_symbols, bounded_symbols, closed_nonorientable_symbols,
                        closed_oriented_symbols)
 
@@ -180,15 +182,86 @@ def test_small_means_finite_fuchsian_quotient():
 
 # the flat family
 
+# Every flat normal form, with its base orbifold. A closed Seifert space
+# is flat exactly when its base orbifold has chi^orb = 0 and its Euler
+# number is 0 (Scott, The geometries of 3-manifolds, 1983, Table 4.1):
+# these are the Seifert fiberings of the ten closed flat 3-manifolds
+# (Conway and Rossetti, Describing the platycosms, 2003). G1-G6 name the
+# six orientable ones there; each pair over a triangle orbifold is one
+# space in its two orientations.
+FLAT_CLOSED = [
+    ("(O,o,1 | 0)", "T2"),  # G1, the 3-torus
+    ("(O,o,0 | -2, (2,1), (2,1), (2,1), (2,1))", "S2(2,2,2,2)"),  # G2
+    ("(O,n,2 | 0)", "Klein bottle"),  # G2
+    ("(O,o,0 | -1, (3,1), (3,1), (3,1))", "S2(3,3,3)"),  # G3
+    ("(O,o,0 | -2, (3,2), (3,2), (3,2))", "S2(3,3,3)"),  # G3
+    ("(O,o,0 | -1, (2,1), (4,1), (4,1))", "S2(2,4,4)"),  # G4
+    ("(O,o,0 | -2, (2,1), (4,3), (4,3))", "S2(2,4,4)"),  # G4
+    ("(O,o,0 | -1, (2,1), (3,1), (6,1))", "S2(2,3,6)"),  # G5
+    ("(O,o,0 | -2, (2,1), (3,2), (6,5))", "S2(2,3,6)"),  # G5
+    ("(O,n,1 | -1, (2,1), (2,1))", "P2(2,2)"),  # G6, Hantzsche-Wendt
+    # the non-orientable ones; class N reads as e = 0
+    ("(N,o,1 | (0,0))", "T2"),
+    ("(N,o,1 | (1,0))", "T2"),
+    ("(N,n,I,1 | (0,2))", "P2(2,2)"),
+    ("(N,n,I,2 | (0,0))", "Klein bottle"),
+    ("(N,n,I,2 | (1,0))", "Klein bottle"),
+    ("(N,n,II,2 | (0,0))", "Klein bottle"),
+    ("(N,n,II,2 | (1,0))", "Klein bottle"),
+]
+
+# The bounded symbols with chi^orb = 0: the I-bundles over the torus and
+# the Klein bottle, each flat.
+FLAT_BOUNDED = [
+    ("(O,o,0; m=2 | -)", "annulus"),  # T2 x I
+    ("(O,o,0; m=1 | -, (2,1), (2,1))", "D2(2,2)"),  # orientable over K
+    ("(O,n,1; m=1 | -)", "Moebius band"),  # the same space
+    ("(N,o,0; m=0, kb=2 | -)", "annulus"),  # K x I
+    ("(N,n,I,1; m=1 | -)", "Moebius band"),  # Moebius band x S1
+]
+
+FLAT_TEXTS = [text for text, _ in FLAT_CLOSED + FLAT_BOUNDED]
+
+
+def _surface_chi(cp, tori, klein):
+    return 2 - (2 * cp.genus if cp.orbit == "o" else cp.genus) - tori - klein
+
+
+def orbifold_chi(s):
+    """chi^orb of a symbol, normal or not, from its fields: 2 - s - m
+    minus 1 - 1/mu per listed pair and 1/2 per counted index-2 fiber."""
+    cp = s.class_part
+    chi = Fraction(_surface_chi(cp, s.boundary_tori, s.boundary_klein))
+    chi -= sum(1 - Fraction(1, p.mu) for p in s.pairs)
+    if s.is_closed and cp.total == "N":
+        chi -= Fraction(s.obstruction[1], 2)
+    return chi
+
+
+def euler_number(s):
+    """b + sum(beta/mu) of a closed class-O symbol; 0 for class N, whose
+    orientation double cover lifts each (mu, beta) to (mu, beta) and
+    (mu, mu - beta) under b = -n."""
+    if s.class_part.total == "N":
+        return 0
+    return s.obstruction + sum(Fraction(p.beta, p.mu) for p in s.pairs)
+
+
+def flat_by_formula(s):
+    return orbifold_chi(s) == 0 and (s.is_bounded or euler_number(s) == 0)
+
 
 def test_flat_family_membership():
-    for text in _FLAT_CLOSED_TEXT + _FLAT_BOUNDED_TEXT:
+    for text in FLAT_TEXTS:
         assert is_flat(parse_symbol(text)), text
 
 
 def test_flat_family_counts():
-    assert len(_FLAT_CLOSED_TEXT) == 11
-    assert len(_FLAT_BOUNDED_TEXT) == 5
+    assert len(FLAT_CLOSED) == 17
+    assert len(FLAT_BOUNDED) == 5
+    symbols = [parse_symbol(text) for text in FLAT_TEXTS]
+    assert [render_symbol(s) for s in symbols] == FLAT_TEXTS
+    assert [s.is_bounded for s in symbols] == [False] * 17 + [True] * 5
 
 
 def test_flat_accepts_unnormalized_spellings():
@@ -205,14 +278,108 @@ def test_flat_rejects_neighbours():
 
 
 def test_flat_is_disjoint_from_small():
-    for text in _FLAT_CLOSED_TEXT + _FLAT_BOUNDED_TEXT:
+    for text in FLAT_TEXTS:
         assert classify_small(parse_symbol(text)) is None, text
 
 
 def test_closed_oriented_flats_have_zero_euler_sum():
-    for text in _FLAT_CLOSED_TEXT:
+    for text, _ in FLAT_CLOSED:
         if text.startswith("(O"):
             assert euler_sum(parse_symbol(text)).value == 0, text
+
+
+@pytest.mark.parametrize("degrees", [(2, 2, 2, 2), (2, 3, 6), (2, 4, 4),
+                                     (3, 3, 3)])
+def test_flat_over_the_euclidean_sphere_orbifolds_is_e_zero(degrees):
+    # every beta over each sphere base with chi^orb = 0, and every b
+    # within reach of e = 0
+    flat = set()
+    for betas in product(*[[b for b in range(1, mu) if gcd(b, mu) == 1]
+                           for mu in degrees]):
+        pairs = tuple(map(CrossingPair, degrees, betas))
+        for b in range(-len(degrees) - 1, 2):
+            s = SeifertSymbol(ClassPart("O", "o", 0), 0, 0, b, pairs)
+            assert is_flat(s) == (euler_number(s) == 0), render_symbol(s)
+            if is_flat(s):
+                flat.add(render_symbol(normalize_symbol(s)))
+    assert flat == {text for text, base in FLAT_CLOSED
+                    if base == f"S2({','.join(map(str, degrees))})"}
+
+
+# (class part, tori, Klein bottles) of small bases, and the cone indices
+# that bring a surface of characteristic 0, 1 or 2 to chi^orb = 0
+_BASES = [(cp, tori, klein) for cp in [
+    ClassPart("O", "o", 0), ClassPart("O", "o", 1), ClassPart("O", "n", 1),
+    ClassPart("O", "n", 2), ClassPart("N", "o", 0), ClassPart("N", "o", 1),
+    ClassPart("N", "n", 1, "I"), ClassPart("N", "n", 2, "I"),
+    ClassPart("N", "n", 2, "II"), ClassPart("N", "n", 3, "III")]
+    for tori in range(3) for klein in ((0, 2) if cp.total == "N" else (0,))
+    if klein or cp.total == "O" or cp.orbit == "n" or cp.genus]
+_EUCLIDEAN = {0: [()], 1: [(2, 2)],
+              2: [(2, 2, 2, 2), (2, 3, 6), (2, 4, 4), (3, 3, 3)]}
+
+
+@st.composite
+def near_flat_symbols(draw):
+    """Raw symbols over small bases. Half take a base of characteristic
+    0, 1 or 2, each as likely, and the cone indices that make chi^orb = 0,
+    the rest any base and up to four indices from 2 to 6. Any beta prime
+    to mu is drawn, so class-N pairs may be unfolded, and an index-1 pair
+    may be mixed in. Half of the closed class-O ones get the b that makes
+    e = 0, when one exists."""
+    target = draw(st.booleans())
+    if target:
+        chi0 = draw(st.sampled_from(sorted(_EUCLIDEAN)))
+        cp, tori, klein = draw(st.sampled_from(
+            [b for b in _BASES if _surface_chi(*b) == chi0]))
+        mus = list(draw(st.sampled_from(_EUCLIDEAN[chi0])))
+    else:
+        cp, tori, klein = draw(st.sampled_from(_BASES))
+        mus = draw(st.lists(st.integers(2, 6), max_size=4))
+    pairs = [CrossingPair(mu, draw(st.sampled_from(
+        [b for b in range(1, mu) if gcd(b, mu) == 1]))) for mu in mus]
+    pairs = draw(st.permutations(pairs + [CrossingPair(1, 0)]
+                                 * draw(st.integers(0, 1))))
+    if tori or klein:
+        obstruction = None
+    elif cp.total == "N":
+        obstruction = (draw(st.integers(0, 3)),
+                       0 if target else draw(st.integers(0, 4)))
+    else:
+        e = sum(Fraction(p.beta, p.mu) for p in pairs)
+        obstruction = draw(st.integers(-4, 4))
+        if e.denominator == 1 and draw(st.booleans()):
+            obstruction = -int(e)
+    return SeifertSymbol(cp, tori, klein, obstruction, tuple(pairs))
+
+
+@settings(max_examples=300)
+@given(st.one_of(near_flat_symbols(), any_symbols))
+def test_flat_is_chi_zero_and_e_zero(s):
+    assert is_flat(s) == flat_by_formula(s)
+
+
+def _covered_by_the_three_torus(s):
+    try:
+        cover = fiberless_cover(s, suggest_cover_sheets(s))
+    except QuotientFinite:
+        return False
+    return render_symbol(cover.symbol) == "(O,o,1 | 0)"
+
+
+@settings(max_examples=200)
+@given(st.one_of(near_flat_symbols(), closed_oriented_symbols).filter(
+    lambda s: s.is_closed and s.class_part.total == "O"
+    and s.class_part.orbit == "o"))
+def test_flat_exactly_when_a_fiberless_cover_is_the_three_torus(s):
+    assert is_flat(s) == _covered_by_the_three_torus(s)
+
+
+@pytest.mark.parametrize("text", [text for text, base in FLAT_CLOSED
+                                  if base.startswith("S2(")])
+def test_the_sphere_based_flats_are_covered_by_the_three_torus(text):
+    s = parse_symbol(text)
+    assert is_flat(s) and _covered_by_the_three_torus(s)
 
 
 # the predicate block
@@ -452,9 +619,7 @@ def test_bounded_equivalence_excludes_solid_torus():
 
 def test_bounded_equivalence_excludes_the_flat_bundles():
     probe = parse_symbol("(O,o,1; m=1 | -, (3,1))")
-    for text in _FLAT_BOUNDED_TEXT:
-        if "m=1 | -, (2,1), (2,1)" in text:
-            continue
+    for text, _ in FLAT_BOUNDED:
         with pytest.raises(ExcludedSpace):
             bounded_equivalent(parse_symbol(text), probe)
 

@@ -17,7 +17,8 @@ messages and positions are compared too.
 
 Per symbol it compares the line that `report --stdin` writes for it,
 byte for byte (report.line) and key by key (report.input, report.pi1,
-...; report.error for an error line), the repr of pi1_presentation and
+...; report.error for an error line; a text with a line break goes
+through `report --json` instead, report.argv on an error), the repr of pi1_presentation and
 of fuchsian_quotient or each one's error text (presentations), the
 classify_small name and order, `group order` stdout, stderr and exit
 code, and `reverse` and both `equiv` modes of the symbol against its
@@ -204,7 +205,14 @@ def _presentations(text):
 
 
 def _report(cli, text) -> dict:
-    """The line `report --stdin` writes for text, raw and read back."""
+    """The line `report --stdin` writes for text, raw and read back. A
+    text with a line break, which stdin would read as several lines, goes
+    through argv as `report --json` instead: its report, or on an error
+    its stdout, stderr and exit code."""
+    if "\n" in text:
+        out, err, code = _cli_call(cli, ["report", "--json", text])
+        report = json.loads(out) if code == 0 else {"argv": [out, err, code]}
+        return {"report": report, "report.line": out}
     out, err, code = _cli_call(cli, ["report", "--stdin"], text + "\n")
     try:
         report = json.loads(out)
