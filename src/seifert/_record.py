@@ -82,8 +82,8 @@ def record(cls):
         least = size
 
     def __new__(cls, *args, **kwargs):
-        n = len(args)
-        if n != size or kwargs:
+        if len(args) != size or kwargs:
+            n = len(args)
             if kwargs or not least <= n < size:
                 args = _bind(cls, args, kwargs)
             else:

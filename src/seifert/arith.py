@@ -83,14 +83,13 @@ class IntMatrix:
 
 
 def _xgcd(a, b):
-    """(g, x, y) with x a + y b = g = gcd(a, b), for a, b >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
+    """(g, x, y) with x a + y b = g = gcd(a, b), for a, b >= 0: x is the
+    inverse of a/g modulo b/g, taken in [0, b/g)."""
+    if not b:
+        return a, 1, 0
+    g = gcd(a, b)
+    x = pow(a // g, -1, b // g)
+    return g, x, (g - x * a) // b
 
 
 def _eliminate_units(a):
@@ -210,8 +209,12 @@ def _chain(factors):
     first copy of each d that v does not divide becomes lcm(d, v) and v
     becomes gcd(d, v); the other copies keep d, since the new v divides
     d. There are at most log2 of the largest factor runs, so the cost is
-    about linear in the factors.
+    about linear in the factors. Factors that form such a chain once
+    sorted are only sorted.
     """
+    factors = sorted(factors)
+    if not any(map(int.__mod__, factors[1:], factors)):  # each divides the next
+        return factors
     runs = []
     for v in factors:
         top = []

@@ -141,9 +141,8 @@ def build_report(text: str, max_cosets: int = 100000) -> dict:
     ns = parse_symbol(text)  # the marked normal form
     pred = predicates(ns)
     pi1, fuchsian = presentation_texts(ns)
-    closed_o = ns.is_closed and ns.class_part.total == "O"
-    es = _euler_text(ns) if closed_o else None
-    warnings = [BOUNDED_WARNING] if ns.is_bounded else []
+    closed = ns.is_closed
+    es = _euler_text(ns) if closed and ns.class_part.total == "O" else None
     pred_dict = pred._asdict()
     pred_dict["notes"] = list(pred.notes)
     return {
@@ -156,7 +155,7 @@ def build_report(text: str, max_cosets: int = 100000) -> dict:
         "h1": first_homology(ns).describe(),
         "euler_sum": es,
         "recognition": pred.named,
-        "warnings": warnings,
+        "warnings": [] if closed else [BOUNDED_WARNING],
     }
 
 
@@ -435,13 +434,18 @@ def run_cli(argv) -> int:
 
 def main() -> None:
     """The console script: run the command, flush its output, and end the
-    process without interpreter teardown."""
-    code = run_cli(sys.argv[1:])
+    process without interpreter teardown. An OSError on the way, such as a
+    closed pipe or a full disk, ends it with status 120 (the interpreter's
+    own for a failed flush at exit) and one line on stderr."""
     try:
+        code = run_cli(sys.argv[1:])
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:  # None when the descriptor is closed
                 stream.flush()
-    except OSError:
-        # a reader closed the pipe: the interpreter's shutdown reports it
-        sys.exit(code)
+    except OSError as exc:
+        code = 120
+        try:
+            os.write(2, f"error: {exc}\n".encode())
+        except OSError:  # stderr is closed or full too
+            pass
     os._exit(code)

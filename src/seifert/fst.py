@@ -48,14 +48,14 @@ class CrossingPair:
     beta: int
 
     def __post_init__(self):
-        if self.mu < 1:
-            raise ValidityError(f"fiber index must be >= 1, got {self.mu}")
-        if not 0 <= self.beta < self.mu:
+        mu, beta = self
+        if mu < 1:
+            raise ValidityError(f"fiber index must be >= 1, got {mu}")
+        if not 0 <= beta < mu:
             raise ValidityError(
-                f"crossing number {self.beta} out of range for index {self.mu}"
-            )
-        if gcd(self.mu, self.beta) != 1:
-            raise ValidityError(f"({self.mu},{self.beta}) not coprime")
+                f"crossing number {beta} out of range for index {mu}")
+        if gcd(mu, beta) != 1:
+            raise ValidityError(f"({mu},{beta}) not coprime")
 
 
 @record

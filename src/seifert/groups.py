@@ -119,7 +119,7 @@ class AbelianGroup:
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
         try:
-            parts.extend(f"Z/{d}" for d in self.torsion)
+            parts += [f"Z/{d}" for d in self.torsion]
         except ValueError:  # past the interpreter's int-to-str digit limit
             raise OutputTooLong() from None
         return " + ".join(parts) if parts else "trivial"
@@ -153,7 +153,8 @@ def _reversing_count(cp) -> int:
     """k: how many of the first orbit-surface generators reverse the fiber."""
     if cp.orbit == "o":
         return 1 if cp.total == "N" and cp.genus else 0
-    return {None: cp.genus, "I": 0, "II": 1, "III": 2}[cp.subtype]
+    # (O,n): every crosscap; (N,n,I), (N,n,II), (N,n,III): 0, 1, 2
+    return cp.genus if cp.subtype is None else len(cp.subtype) - 1
 
 
 def _long_relator_exponent(s: SeifertSymbol) -> int:
@@ -213,33 +214,28 @@ def presentation_texts(s: SeifertSymbol) -> tuple:
     Raises OutputTooLong when an exponent has too many digits to print.
     """
     s = normalize_symbol(s)
-    cp = s.class_part
+    cp, tori, klein = s.class_part, s.boundary_tori, s.boundary_klein
     pairs = s.expanded_pairs()
+    n = cp.genus
     if cp.orbit == "o":
-        surface = [f"{x}{i}" for i in range(1, cp.genus + 1) for x in "ab"]
+        surface = [f"{x}{i}" for i in range(1, n + 1) for x in "ab"]
     else:
-        surface = [f"x{i}" for i in range(1, cp.genus + 1)]
-    c0 = 1 + len(surface)
-    boundary = s.boundary_tori + s.boundary_klein
-    names = (["h"] + surface + [f"c{i}" for i in range(1, len(pairs) + 1)]
-             + [f"d{j}" for j in range(1, boundary + 1)])
-    k = _reversing_count(cp)
-    klein0 = len(names) - s.boundary_klein
-    cs = names[c0:c0 + len(pairs)]
+        surface = [f"x{i}" for i in range(1, n + 1)]
+    fibers = [f"c{i}" for i in range(1, len(pairs) + 1)] if pairs else []
+    gens = surface + fibers + ([f"d{j}" for j in range(1, tori + klein + 1)]
+                               if tori or klein else [])
+    k, klein0 = _reversing_count(cp), len(gens) - klein
     try:
-        rels = [f"{y} h {y}^-1 h" for y in names[1:k + 1]]
-        rels += [f"{y} h {y}^-1 h^-1" for y in names[k + 1:klein0]]
-        rels += [f"{y} h {y}^-1 h" for y in names[klein0:]]
-        quotient = [f"{c}^{p.mu}" for c, p in zip(cs, pairs)]
-        rels += [f"{c} h" if p.beta == 1 else f"{c} h^{p.beta}"
-                 for c, p in zip(quotient, pairs)]
-        if s.is_closed:
-            if cp.orbit == "o":
-                surface = [f"{a} {b} {a}^-1 {b}^-1"
-                           for a, b in zip(names[1:c0:2], names[2:c0:2])]
-            else:
-                surface = [f"{x}^2" for x in names[1:c0]]
-            word = surface + cs
+        rels = [f"{y} h {y}^-1 h" for y in gens[:k]] if k else []
+        rels += [f"{y} h {y}^-1 h^-1" for y in gens[k:klein0]]
+        rels += [f"{y} h {y}^-1 h" for y in gens[klein0:]] if klein else []
+        quotient = [f"{c}^{mu}" for c, (mu, _) in zip(fibers, pairs)]
+        rels += [f"{c} h" if beta == 1 else f"{c} h^{beta}"
+                 for c, (_, beta) in zip(quotient, pairs)]
+        if not (tori or klein):
+            word = [f"a{i} b{i} a{i}^-1 b{i}^-1" for i in range(1, n + 1)] \
+                if cp.orbit == "o" else [f"{x}^2" for x in surface]
+            word += fibers
             if word:
                 quotient.append(" ".join(word))
             e = _long_relator_exponent(s)
@@ -249,8 +245,9 @@ def presentation_texts(s: SeifertSymbol) -> tuple:
                 rels.append(" ".join(word))
     except ValueError:  # past the interpreter's int-to-str digit limit
         raise OutputTooLong() from None
-    return (f"< {', '.join(names)} | {', '.join(rels) or '-'} >",
-            f"< {', '.join(names[1:]) or '-'} | {', '.join(quotient) or '-'} >")
+    names = ", ".join(gens)
+    return (f"< h{', ' if names else ''}{names} | {', '.join(rels) or '-'} >",
+            f"< {names or '-'} | {', '.join(quotient) or '-'} >")
 
 
 def abelianization(p: Presentation) -> AbelianGroup:
@@ -326,23 +323,24 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
     linear in the fibers.
     """
     s = normalize_symbol(s)
-    cp = s.class_part
-    closed = s.is_closed
-    two = 2 if _reversing_count(cp) or s.boundary_klein else 0
+    cp, tori, klein, obstruction, pairs = s
+    closed = not (tori or klein)
+    two = 2 if _reversing_count(cp) or klein else 0
     ycol = closed and cp.orbit == "n"
-    free = s.boundary_tori + s.boundary_klein + (
-        2 * cp.genus if cp.orbit == "o" else cp.genus - ycol)
-    pairs = s.pairs
+    free = tori + klein + (2 * cp.genus if cp.orbit == "o"
+                           else cp.genus - ycol)
     if closed and cp.total == "N":  # the index-2 count s
-        pairs += ((2, 1),) * s.obstruction[1]
+        pairs += ((2, 1),) * obstruction[1]
     side = []
     pure = []
     m, bh = 1, 0
     for mu, beta in pairs:
         g = gcd(m, mu)
-        if g > 1:
-            _, x, y = _xgcd(m, mu)
-            _add_side_row(side, pure, g, (y * beta - x * bh) % g)
+        if g == 1:
+            m, bh = m * mu, mu * bh + m * beta
+            continue
+        _, x, y = _xgcd(m, mu)
+        _add_side_row(side, pure, g, (y * beta - x * bh) % g)
         m, bh = m // g * mu, (mu * bh + m * beta) // g
     if closed:
         core = bh - m * _long_relator_exponent(s)
@@ -363,12 +361,13 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
     if width == 1 and not pure and not two:  # the core row alone
         core = abs(core)
         return AbelianGroup(free + (core == 0), (core,) if core > 1 else ())
-    if width <= 2:  # the columns h, then y or d, passed as rows
-        a = [[r for _, r in rest] + [core, two]]
-        if width == 2:
-            a.append([g for g, _ in rest] + [-2 * m * ycol, 0])
-        factors = _two_row_factors(a)
-        defect = width - len(factors)
+    if width == 1:  # the core row and 2h: the gcd of their h-entries
+        d = gcd(core, two)
+        factors, defect = ((d,), 0) if d else ((), 1)
+    elif width == 2:  # the columns h, then y or d, passed as rows
+        factors = _two_row_factors([[r for _, r in rest] + [core, two],
+                                    [g for g, _ in rest] + [-2 * m * ycol, 0]])
+        defect = 2 - len(factors)
     else:
         rows = []
         for i, (g, r) in enumerate(rest):
@@ -381,8 +380,8 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
             rows.append([2] + [0] * (width - 1))
         factors, defect = smith_normal_form(
             IntMatrix(len(rows), width, tuple(chain.from_iterable(rows))))
-    torsion = _chain(pure + list(factors))
-    return AbelianGroup(free + defect, tuple(d for d in torsion if d > 1))
+    torsion = _chain(pure + list(factors))  # smallest first: 1s lead
+    return AbelianGroup(free + defect, tuple(torsion[torsion.count(1):]))
 
 
 def _add_side_row(side, pure, g, r):

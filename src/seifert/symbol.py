@@ -66,22 +66,23 @@ class ClassPart:
     subtype: str | None = None
 
     def __post_init__(self):
-        if self.total not in ("O", "N"):
-            raise ValidityError(f"total space flag must be O or N, got {self.total!r}")
-        if self.orbit not in ("o", "n"):
-            raise ValidityError(f"orbit flag must be o or n, got {self.orbit!r}")
-        if self.genus < 0:
+        total, orbit, genus, subtype = self
+        if total not in ("O", "N"):
+            raise ValidityError(f"total space flag must be O or N, got {total!r}")
+        if orbit not in ("o", "n"):
+            raise ValidityError(f"orbit flag must be o or n, got {orbit!r}")
+        if genus < 0:
             raise ValidityError("negative genus")
-        if self.total == "N" and self.orbit == "n":
-            if self.subtype not in ("I", "II", "III"):
+        if total == "N" and orbit == "n":
+            if subtype not in ("I", "II", "III"):
                 raise ValidityError("class (N,n) needs subtype I, II or III")
-        elif self.subtype is not None:
+        elif subtype is not None:
             raise ValidityError("subtype is only meaningful for class (N,n)")
-        if self.orbit == "n" and self.genus < 1:
+        if orbit == "n" and genus < 1:
             raise ValidityError("non-orientable orbit needs at least 1 crosscap")
-        if self.subtype == "II" and self.genus < 2:
+        if subtype == "II" and genus < 2:
             raise ValidityError("subtype II needs at least 2 crosscaps")
-        if self.subtype == "III" and self.genus < 3:
+        if subtype == "III" and genus < 3:
             raise ValidityError("subtype III needs at least 3 crosscaps")
 
     def text(self) -> str:
@@ -127,30 +128,29 @@ class SeifertSymbol:
     _normal = False
 
     def __post_init__(self):
-        if self.boundary_tori < 0 or self.boundary_klein < 0:
+        cp, tori, klein, obstruction, pairs = self
+        if tori < 0 or klein < 0:
             raise ValidityError("negative boundary count")
-        if self.boundary_klein % 2 != 0:
+        if klein % 2 != 0:
             raise ValidityError("Klein bottle boundary count must be even")
-        if self.boundary_klein and self.class_part.total == "O":
+        if klein and cp.total == "O":
             raise ValidityError("orientable spaces have no Klein bottle boundaries")
-        if self.class_part.total == "N" and self.class_part.orbit == "o" \
-                and self.class_part.genus == 0 and self.boundary_klein < 2:
+        if cp.total == "N" and cp.orbit == "o" and cp.genus == 0 and klein < 2:
             raise ValidityError(
                 "(N,o,0) admits no fiber-reversing loop without Klein boundaries")
-        for p in self.pairs:
+        for p in pairs:
             if not isinstance(p, CrossingPair):
                 raise ValidityError("pairs must be CrossingPair values")
-        if self.is_bounded:
-            if self.obstruction is not None:
+        if tori > 0 or klein > 0:
+            if obstruction is not None:
                 raise ValidityError("bounded symbols carry no obstruction")
-        elif self.class_part.total == "O":
-            if not isinstance(self.obstruction, int):
+        elif cp.total == "O":
+            if not isinstance(obstruction, int):
                 raise ValidityError("closed orientable symbols need integer b")
         else:
-            ok = (isinstance(self.obstruction, tuple)
-                  and len(self.obstruction) == 2
-                  and all(isinstance(x, int) for x in self.obstruction)
-                  and self.obstruction[1] >= 0)
+            ok = (isinstance(obstruction, tuple) and len(obstruction) == 2
+                  and all(isinstance(x, int) for x in obstruction)
+                  and obstruction[1] >= 0)
             if not ok:
                 raise ValidityError("closed non-orientable symbols need (b, s)")
 
@@ -165,17 +165,13 @@ class SeifertSymbol:
     @property
     def fiber_count(self) -> int:
         """Exceptional fibers listed plus the index-2 count s, if any."""
-        n = len(self.pairs)
-        if self.is_closed and self.class_part.total == "N":
-            n += self.obstruction[1]
-        return n
+        return len(self.expanded_pairs())
 
     def expanded_pairs(self) -> tuple:
         """Pairs with the s count written out as explicit (2,1) entries,
         sorted by (mu, beta)."""
-        extra = 0
-        if self.is_closed and self.class_part.total == "N":
-            extra = self.obstruction[1]
+        extra = self.obstruction[1] \
+            if self.class_part.total == "N" and self.is_closed else 0
         if self._normal:
             # the pairs are sorted, and a closed class-N normal form lists
             # no index-2 pair, so the (2,1) entries come first
@@ -218,9 +214,9 @@ def parse_symbol(text: str) -> SeifertSymbol:
 
     Well-formed text costs one pattern match and its int conversions.
     The walker, which matches the same pieces one at a time, reads only
-    text the pattern refuses, a bounded symbol that carries a b, and an
-    integer past the int-to-str digit limit: it names the error and its
-    position.
+    text the pattern refuses, a bounded symbol with a b or a closed one
+    with "-", and an integer past the int-to-str digit limit: it names the
+    error and its position.
     """
     m = _SYMBOL.fullmatch(text)
     if m is None:
@@ -238,15 +234,11 @@ def parse_symbol(text: str) -> SeifertSymbol:
                  for s1, mu, s2, beta in _PAIR.findall(tail)]
     except ValueError:  # past the interpreter's int-to-str digit limit
         return _walk_tokens(text)
-    bounded = tori > 0 or klein > 0
-    if dash:
-        obstruction = None
-        _check_marker(bounded)
-    elif bounded:
+    if (not dash) == (tori > 0 or klein > 0):  # the walker names the error
         return _walk_tokens(text)
-    for mu, beta in pairs:
-        _check_pair(mu, beta)
-    return _symbol(head, genus, tori, klein, obstruction, pairs)
+    _check_pairs(pairs)
+    return _symbol(head, genus, tori, klein, None if dash else obstruction,
+                   pairs)
 
 
 def _walk_tokens(text):
@@ -291,7 +283,8 @@ def _walk_tokens(text):
     bounded = tori > 0 or klein > 0
     if take(_MARKER):
         obstruction = None
-        _check_marker(bounded)
+        if not bounded:
+            raise ValidityError('obstruction "-" is only for bounded symbols')
     elif bounded:  # the error points at b, past any "-" sign
         take("-")
         raise ParseError('bounded symbols start the tail with "-"', pos)
@@ -310,7 +303,7 @@ def _walk_tokens(text):
         expect(",", "','")
         beta = take_int(_SIGNED_INT)
         expect(r"\)", "')'")
-        _check_pair(mu, beta)
+        _check_pairs([(mu, beta)])
         pairs.append((mu, beta))
     expect(r"\)", "')'")
     if pos < len(text):
@@ -318,16 +311,12 @@ def _walk_tokens(text):
     return _symbol(head, genus, tori, klein, obstruction, pairs)
 
 
-def _check_marker(bounded):
-    if not bounded:
-        raise ValidityError('obstruction "-" is only for bounded symbols')
-
-
-def _check_pair(mu, beta):
-    if mu < 1:
-        raise ValidityError(f"fiber index must be >= 1, got {mu}")
-    if gcd(mu, beta) != 1:
-        raise ValidityError(f"pair ({mu},{beta}) is not coprime")
+def _check_pairs(pairs):
+    for mu, beta in pairs:
+        if mu < 1:
+            raise ValidityError(f"fiber index must be >= 1, got {mu}")
+        if gcd(mu, beta) != 1:
+            raise ValidityError(f"pair ({mu},{beta}) is not coprime")
 
 
 def _symbol(head, genus, tori, klein, obstruction, pairs):
@@ -365,7 +354,7 @@ def render_symbol(s: SeifertSymbol) -> str:
         else:
             b, ns = s.obstruction
             tail = [f"({b},{ns})"]
-        tail.extend(f"({p.mu},{p.beta})" for p in s.pairs)
+        tail += [f"({mu},{beta})" for mu, beta in s.pairs]
     except ValueError:  # past the interpreter's int-to-str digit limit
         raise OutputTooLong() from None
     return f"({head} | " + ", ".join(tail) + ")"
@@ -409,7 +398,7 @@ def _normal_form(cp, tori, klein, b, s_count, pairs) -> SeifertSymbol:
     kept = []
     for mu, beta in pairs:
         t = beta % mu
-        b += (beta - t) // mu
+        b += beta // mu
         if mu == 1:
             continue  # (1,0) is an ordinary fiber
         if fold and 2 * t > mu:

@@ -18,11 +18,9 @@ from .errors import ExcludedSpace, ValidityError
 from .fst import CrossingPair
 from .lens import (_S2, SmallResult, lens_normalize, recognize_S2_symbol,
                    sphere_h1_order)
-from .symbol import (ClassPart, EquivalenceMode, SeifertSymbol, normalize_symbol,
+from .symbol import (EquivalenceMode, SeifertSymbol, normalize_symbol,
                      symbols_equivalent)
 
-_P2_N = ClassPart("N", "n", 1, "I")
-_P2_O = ClassPart("O", "n", 1)
 _ORDINARY = CrossingPair(1, 0)
 
 
@@ -55,18 +53,19 @@ def classify_small(s: SeifertSymbol) -> SmallResult | None:
     L(4n,2n-1) when t = 1 and a platonic prism space otherwise.
     """
     s = normalize_symbol(s)
-    cp = s.class_part
     if s.is_bounded:
         if _is_solid_torus_schema(s):
             return SmallResult("fibered-solid-torus", "fibered solid torus")
         return None
-    if cp == _S2:
-        return recognize_S2_symbol(s)
-    if cp in (_P2_N, _P2_O) and s.fiber_count <= 1:
+    # closed: genus 0 over o is (O,o,0); one crosscap is (O,n,1) or (N,n,I,1)
+    total, orbit, genus, _ = s.class_part
+    if orbit == "o":
+        return recognize_S2_symbol(s) if genus == 0 else None
+    if genus == 1 and s.fiber_count <= 1:
         # a missing fiber reads as (1,0), the index-2 count as (2,1)
         (f,) = s.expanded_pairs() or (_ORDINARY,)
         t = sphere_h1_order(groups._long_relator_exponent(s), (f,))
-        if cp == _P2_N:
+        if total == "N":
             if t % 2 == 0:
                 return SmallResult("P2xS1", "P2xS1")
             return SmallResult("twisted-S2-bundle", "twisted S2 bundle over S1")
@@ -93,6 +92,8 @@ def _zero_chi(s: SeifertSymbol) -> bool:
     cp = s.class_part
     chi0 = (2 - (2 * cp.genus if cp.orbit == "o" else cp.genus)
             - s.boundary_tori - s.boundary_klein)
+    if chi0 < 0:
+        return False
     n = s.fiber_count
     if not (n == chi0 == 0 or n <= 2 * chi0 < 2 * n):
         return False
@@ -175,15 +176,15 @@ def predicates(s: SeifertSymbol) -> PredicateReport:
     flat = is_flat(s)
     notes = []
     if small is None:
-        irr = p2 = asph = bd = True
-        fin = False
         inc = True
-        if s.is_closed and s.class_part == _S2 and len(s.pairs) == 3:
+        if len(s.pairs) == 3 and s.is_closed and s.class_part == _S2:
             x = groups._long_relator_exponent(s)
             inc = sphere_h1_order(x, s.pairs) == 0
             notes.append("three-fiber sphere base: incompressible surface "
                          "exists exactly when first homology is infinite")
-        return PredicateReport(None, flat, fin, irr, p2, asph, bd, inc,
+        # the uniform block: irreducible, P2-irreducible, aspherical and
+        # boundary irreducible, with an infinite group
+        return PredicateReport(None, flat, False, True, True, True, True, inc,
                                None, tuple(notes))
     irr, p2, asph, bd, inc = _SMALL_FLAGS[small.category]
     note = _SMALL_NOTES.get(small.category)

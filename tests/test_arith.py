@@ -6,12 +6,12 @@ from itertools import combinations
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seifert import (IntMatrix, ReducedFraction, ZeroDenominator, reduce_mod1,
                      smith_normal_form)
-from seifert.arith import _chain
+from seifert.arith import _chain, _xgcd
 
 import snf_oracle
 
@@ -26,6 +26,18 @@ def det_cofactor(rows):
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * det_cofactor(minor)
     return total
+
+
+@example(0, 0)
+@example(0, 7)
+@example(7, 0)
+@example(1, 1)
+@given(st.one_of(st.integers(0, 50), st.integers(0, 10**40)),
+       st.one_of(st.integers(0, 50), st.integers(0, 10**40)))
+def test_xgcd_is_a_bezout_pair(a, b):
+    # the first homology's folds and the Smith form's 2 x 2 steps use it
+    g, x, y = _xgcd(a, b)
+    assert x * a + y * b == g == gcd(a, b)
 
 
 def test_reduce_mod1_wraps_above_one():
@@ -152,7 +164,20 @@ chain_factors = st.lists(st.one_of(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 18]
                                    st.integers(1, 10**40)), max_size=40)
 
 
-@given(chain_factors)
+@st.composite
+def chained_factors(draw):
+    """Factors whose values above 1 form a divisibility chain, with 1s
+    mixed in, in chain order or any other: the lists _chain only sorts."""
+    factors, d = [], 1
+    for k in draw(st.lists(st.integers(1, 12), max_size=12)):
+        d *= k
+        factors.append(d)
+    for i in draw(st.lists(st.integers(0, 12), max_size=6)):
+        factors.insert(min(i, len(factors)), 1)
+    return draw(st.one_of(st.just(factors), st.permutations(factors)))
+
+
+@given(st.one_of(chain_factors, chained_factors()))
 def test_chain_matches_the_pairwise_swaps(factors):
     assert _chain(factors) == snf_oracle.chain(factors)
 

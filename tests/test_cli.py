@@ -1,6 +1,7 @@
 """Command-line behavior: output strings, exit codes, report schema."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -546,15 +547,18 @@ def test_normalize_with_stdout_closed_exits_zero():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+BROKEN_PIPE = f"error: {BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))}\n"
+
+
 @pytest.mark.parametrize("argv,head,code", [
     # about 140 kB of records: a write in the batch loop meets the closed
-    # pipe, and the BrokenPipeError ends the process as an uncaught error
-    (["report", "--stdin"], 10, 1),
-    # the whole output waits in stdout's buffer; the flush at exit fails,
-    # and the interpreter's shutdown reports it with status 120
+    # pipe
+    (["report", "--stdin"], 10, 120),
+    # the whole output waits in stdout's buffer; the flush at exit fails
     (["report", "--json", POINCARE_FAMILY], 0, 120),
 ])
 def test_a_reader_that_closes_the_pipe_early(argv, head, code):
+    # either way the call ends with status 120 and one line, no traceback
     with open(GOLDEN, "rb") as corpus:
         proc = subprocess.Popen([*SEIFERT, *argv], stdin=corpus,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -564,7 +568,35 @@ def test_a_reader_that_closes_the_pipe_early(argv, head, code):
         err = proc.stderr.read().decode()
         proc.stderr.close()
         assert proc.wait() == code
-    assert "BrokenPipeError" in err
+    assert err == BROKEN_PIPE
+
+
+def test_a_reader_that_closes_after_one_line(tmp_path):
+    # ten golden corpora, about 1.4 MB of records, far past a pipe's buffer
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(GOLDEN.read_text() * 10)
+    with open(corpus, "rb") as lines:
+        proc = subprocess.Popen([*SEIFERT, "report", "--stdin"], stdin=lines,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=BUFFERED)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        code = proc.wait()
+    assert json.loads(first)["input"] == GOLDEN.read_text().splitlines()[0]
+    assert (code, err) == (120, BROKEN_PIPE)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["report", "--stdin"],
+                                  ["report", POINCARE_FAMILY]])
+def test_a_full_disk_ends_the_call_with_status_120(argv):
+    with open(GOLDEN, "rb") as corpus, open("/dev/full", "wb") as full:
+        proc = subprocess.run([*SEIFERT, *argv], stdin=corpus, stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=BUFFERED)
+    nospace = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    assert (proc.returncode, proc.stderr) == (120, f"error: {nospace}\n")
 
 
 def test_report_stdin_into_a_file_writes_every_byte(tmp_path):

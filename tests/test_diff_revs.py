@@ -42,6 +42,20 @@ def test_head_against_head_finds_no_difference(tmp_path):
 
 
 @pytest.mark.skipif(not _has_head(), reason="needs a git checkout")
+def test_head_against_head_finds_no_difference_in_bench(tmp_path):
+    # the first lines of index, and of wide with its four-symbol tail
+    out = tmp_path / "diff.json"
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--old", "HEAD", "--new", "HEAD",
+         "--seed", "3", "--bench", "30", "--out", str(out)],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    inputs = json.loads(out.read_text())["inputs"]
+    assert {name: (res["symbols"], res["differences"])
+            for name, res in inputs.items()} == {"bench": (60, {})}
+
+
+@pytest.mark.skipif(not _has_head(), reason="needs a git checkout")
 @pytest.mark.parametrize("expect,code", [
     ({"golden": {"differences": {}, "inputs": []}}, 0),
     ({"golden": {"differences": {"report.h1": 1}}}, 1),

@@ -285,8 +285,9 @@ def test_whitespace_inside_an_integer_is_a_parse_error(s, rng):
 
 
 # parse_symbol matches well-formed text with one pattern; the token walker
-# reads only text the pattern refuses, a bounded symbol that carries a b
-# and an integer past the digit limit, and it names every ParseError
+# reads only text the pattern refuses, a bounded symbol that carries a b or
+# a closed one with the marker "-", and an integer past the digit limit,
+# and it names every ParseError
 
 ROOT = Path(__file__).resolve().parent.parent
 # a symbol with at most one level of nested parentheses in its tail

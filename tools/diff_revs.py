@@ -1,7 +1,7 @@
 """Differential run of two commits: the same inputs, every output compared.
 
     python3 tools/diff_revs.py --old HEAD~1 --new HEAD --golden \
-        --seed 16 --draws 20000 --box --argv --out diff.json
+        --seed 16 --draws 20000 --bench 2000 --box --argv --out diff.json
 
 Both revisions are unpacked with `git archive REV | tar -x`, as
 tools/bench_pairs.py does, and each is run by one worker process that
@@ -13,7 +13,11 @@ up to 13, any beta, and b from -6 to 6 (--box, 444,860 symbols). --draws
 also builds the set edits: as many golden lines of the old revision, each
 with 1-4 random insertions, deletions or replacements from EDIT_CHARS,
 drawn by random.Random(--seed), so that most are parse errors and their
-messages and positions are compared too.
+messages and positions are compared too. --bench N takes the first N
+lines of the benchmark's index and wide corpora at --seed (the set
+bench), built by the old checkout's perfbench/workloads.generate: the
+traffic the benchmark times, with indices up to 400, index-1 pairs and
+shifted crossings, genus up to 8 and the 10-12-fiber tail of wide.
 
 Per symbol it compares the line that `report --stdin` writes for it,
 byte for byte (report.line) and key by key (report.input, report.pi1,
@@ -31,7 +35,8 @@ and exit code. It prints the differences per key and writes them to
 differs, 1 otherwise. Standard library only.
 
 A change that alters outputs on purpose states them with --expect FILE,
-a JSON object that maps each input set (golden, draws, edits, box, argv)
+a JSON object that maps each input set (golden, draws, edits, bench,
+box, argv)
 to its expected differences per key, and golden to the list of its
 differing inputs as well:
 
@@ -156,8 +161,9 @@ def _worker_argv(checkout: Path, *args) -> list:
             str(checkout), *args]
 
 
-def draw_texts(checkout: Path, seed: int, count: int) -> list:
-    proc = subprocess.run(_worker_argv(checkout, "draws", str(seed), str(count)),
+def worker_lines(checkout: Path, mode: str, seed: int, count: int) -> list:
+    """The lines a worker of the checkout prints in mode draws or bench."""
+    proc = subprocess.run(_worker_argv(checkout, mode, str(seed), str(count)),
                           env=_env(checkout), capture_output=True, text=True,
                           check=True)
     return proc.stdout.splitlines()
@@ -231,6 +237,13 @@ def worker(checkout: Path, mode: str, *args) -> int:
         rng = random.Random(int(args[0]))
         for _ in range(int(args[1])):
             print(seifert.render_symbol(random_symbol(rng)))
+        return 0
+    if mode == "bench":
+        sys.path.insert(0, str(checkout / "perfbench"))
+        import workloads
+        for name in ("index", "wide"):
+            lines = workloads.generate(name, int(args[0]), checkout)
+            print("\n".join(lines[:int(args[1])]))
         return 0
     inputs = [json.loads(line)
               for line in Path(args[0]).read_text().splitlines()]
@@ -349,7 +362,11 @@ def main(argv=None) -> int:
     ap.add_argument("--draws", type=int, default=0,
                     help="symbolgen.random_symbol draws, and as many "
                     "edited golden lines")
-    ap.add_argument("--seed", type=int, default=0, help="seed of the draws and edits")
+    ap.add_argument("--seed", type=int, default=0,
+                    help="seed of the draws, edits and bench lines")
+    ap.add_argument("--bench", type=int, default=0,
+                    help="the first N lines of the benchmark's index and "
+                    "wide corpora")
     ap.add_argument("--box", action="store_true",
                     help="the closed (O,o,0) box of 444,860 symbols")
     ap.add_argument("--argv", action="store_true",
@@ -375,8 +392,12 @@ def main(argv=None) -> int:
         if args.golden:
             sources["golden"] = golden
         if args.draws:
-            sources["draws"] = draw_texts(dirs["old"], args.seed, args.draws)
+            sources["draws"] = worker_lines(dirs["old"], "draws", args.seed,
+                                            args.draws)
             sources["edits"] = edit_texts(golden, args.seed, args.draws)
+        if args.bench:
+            sources["bench"] = worker_lines(dirs["old"], "bench", args.seed,
+                                            args.bench)
         if args.box:
             sources["box"] = list(box_texts())
         results = {name: compare(texts, (dirs["old"], dirs["new"]),
@@ -394,7 +415,8 @@ def main(argv=None) -> int:
             print(f"  {key}: {n}")
         total.update(res["differences"])
     out = {"tool": "tools/diff_revs.py", "commits": commits,
-           "seed": args.seed, "draws": args.draws, "inputs": results,
+           "seed": args.seed, "draws": args.draws, "bench": args.bench,
+           "inputs": results,
            "expect": expectation(results)}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     if expected is None:
