@@ -434,9 +434,10 @@ def run_cli(argv) -> int:
 
 def main() -> None:
     """The console script: run the command, flush its output, and end the
-    process without interpreter teardown. An OSError on the way, such as a
-    closed pipe or a full disk, ends it with status 120 (the interpreter's
-    own for a failed flush at exit) and one line on stderr."""
+    process without interpreter teardown. Any OSError on the way, a closed
+    pipe or a full disk on output as a failed read of stdin, ends it with
+    status 120 (the interpreter's own for a failed flush at exit) and one
+    line on stderr."""
     try:
         code = run_cli(sys.argv[1:])
         for stream in (sys.stdout, sys.stderr):

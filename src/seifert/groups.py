@@ -361,13 +361,12 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
     if width == 1 and not pure and not two:  # the core row alone
         core = abs(core)
         return AbelianGroup(free + (core == 0), (core,) if core > 1 else ())
-    if width == 1:  # the core row and 2h: the gcd of their h-entries
-        d = gcd(core, two)
-        factors, defect = ((d,), 0) if d else ((), 1)
-    elif width == 2:  # the columns h, then y or d, passed as rows
-        factors = _two_row_factors([[r for _, r in rest] + [core, two],
-                                    [g for g, _ in rest] + [-2 * m * ycol, 0]])
-        defect = 2 - len(factors)
+    if width <= 2:  # the columns h, then y or d, passed as rows
+        a = [[r for _, r in rest] + [core, two]]
+        if width == 2:
+            a.append([g for g, _ in rest] + [-2 * m * ycol, 0])
+        factors = _two_row_factors(a)
+        defect = width - len(factors)
     else:
         rows = []
         for i, (g, r) in enumerate(rest):

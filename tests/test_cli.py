@@ -213,6 +213,14 @@ def test_group_order_needs_no_enumeration(capsys):
             assert (rc, out) == (0, order)
 
 
+def test_group_order_counts_the_index_2_fibers_without_listing_them(capsys):
+    # s = 10**40 fibers (2,1) over P2: the count is read, never written out
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, ["group", "order", f"(N,n,I,1 | (0, {10**40}))"])
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (1, "not determined within 100000 cosets\n")
+
+
 def test_group_order_rejects_a_zero_budget(capsys):
     rc, out, err = run(capsys, ["group", "order", POINCARE_FAMILY,
                                 "--max-cosets", "0"])
@@ -597,6 +605,17 @@ def test_a_full_disk_ends_the_call_with_status_120(argv):
                               stderr=subprocess.PIPE, text=True, env=BUFFERED)
     nospace = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
     assert (proc.returncode, proc.stderr) == (120, f"error: {nospace}\n")
+
+
+def test_a_failed_read_of_stdin_ends_the_call_with_status_120(tmp_path):
+    # a stdin opened for writing only fails the first read with EBADF;
+    # 120 is for any OSError of the call, on input as on output
+    with open(tmp_path / "sink", "wb") as sink:
+        proc = subprocess.run([*SEIFERT, "report", "--stdin"], stdin=sink,
+                              capture_output=True, text=True, env=BUFFERED)
+    ebadf = OSError(errno.EBADF, os.strerror(errno.EBADF))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        120, "", f"error: {ebadf}\n")
 
 
 def test_report_stdin_into_a_file_writes_every_byte(tmp_path):

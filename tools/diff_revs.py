@@ -17,7 +17,10 @@ messages and positions are compared too. --bench N takes the first N
 lines of the benchmark's index and wide corpora at --seed (the set
 bench), built by the old checkout's perfbench/workloads.generate: the
 traffic the benchmark times, with indices up to 400, index-1 pairs and
-shifted crossings, genus up to 8 and the 10-12-fiber tail of wide.
+shifted crossings, genus up to 8 and the 10-12-fiber tail of wide. It
+has its own count, not --draws, so that the benchmark's lines can be
+checked alone, without the golden, draws and edits sets, as a quick run
+after a hot-path edit.
 
 Per symbol it compares the line that `report --stdin` writes for it,
 byte for byte (report.line) and key by key (report.input, report.pi1,
@@ -36,9 +39,8 @@ differs, 1 otherwise. Standard library only.
 
 A change that alters outputs on purpose states them with --expect FILE,
 a JSON object that maps each input set (golden, draws, edits, bench,
-box, argv)
-to its expected differences per key, and golden to the list of its
-differing inputs as well:
+box, argv) to its expected differences per key, and golden to the list
+of its differing inputs as well:
 
     {"golden": {"differences": {"report.h1": 66, ...}, "inputs": [...]},
      "draws": {"differences": {...}}, "edits": {"differences": {...}},
