@@ -11,10 +11,10 @@ from ._record import replace
 from .arith import IntMatrix, ReducedFraction, reduce_mod1, smith_normal_form
 from .covers import (EulerSum, FiberlessCover, euler_sum, fiberless_cover,
                      orientable_double_cover, suggest_cover_sheets)
-from .errors import (AlreadyOrientable, BadDeterminant, ExcludedSpace,
-                     IndexNotDivisible, InputError, InternalError, InvalidIndex,
-                     InvalidSurface, LimitTooSmall, ModeError, NotClosed,
-                     NotClosedOriented, NotCoprime, NotOriented,
+from .errors import (AlreadyOrientable, BadDeterminant, CountTooLarge,
+                     ExcludedSpace, IndexNotDivisible, InputError, InternalError,
+                     InvalidIndex, InvalidSurface, LimitTooSmall, ModeError,
+                     NotClosed, NotClosedOriented, NotCoprime, NotOriented,
                      OddEulerCharacteristic, OutputTooLong, ParseError,
                      PreconditionError, QuotientFinite, SeifertError,
                      ValidityError, WrongBase, ZeroDenominator)

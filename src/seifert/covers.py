@@ -12,18 +12,15 @@ from __future__ import annotations
 from math import lcm
 
 from ._record import record
-from .errors import (AlreadyOrientable, IndexNotDivisible, InternalError,
-                     NotClosed, NotClosedOriented, OddEulerCharacteristic,
-                     QuotientFinite, ValidityError)
-from .groups import (SizeClass, fuchsian_euler, fuchsian_size_class,
-                     signature_of_symbol)
-from .symbol import ClassPart, CrossingPair, SeifertSymbol, normalize_symbol
+from .errors import (AlreadyOrientable, IndexNotDivisible, NotClosed,
+                     NotClosedOriented, OddEulerCharacteristic, QuotientFinite,
+                     ValidityError)
+from .groups import _orbifold_chi_terms, _surface_chi
+from .symbol import ClassPart, SeifertSymbol, _normal_form, normalize_symbol
 
-# fractions.Fraction, imported by the first euler_sum call: the module
-# loads decimal and numbers too, which most command lines never use. It
-# is bound here once, since an import statement in the function would
-# cost about 1 us on every call.
-Fraction = None
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @record
@@ -53,20 +50,8 @@ def euler_sum(s: SeifertSymbol) -> EulerSum:
     count under fiberless covers. Raises NotClosedOriented otherwise.
     The sum is taken over the lcm of the indices, one Fraction in all.
     """
-    global Fraction
-    total, m = _euler_terms(s)
-    if Fraction is None:
-        from fractions import Fraction
-    return EulerSum(Fraction(total, m))
-
-
-_DOUBLE_ORBIT = {
-    # (orbit, subtype) of the base -> class part builder for the cover
-    ("o", None): lambda g: ClassPart("O", "o", 2 * g - 1),
-    ("n", "I"): lambda g: ClassPart("O", "o", g - 1),
-    ("n", "II"): lambda g: ClassPart("O", "n", 2 * g - 2),
-    ("n", "III"): lambda g: ClassPart("O", "n", 2 * g - 2),
-}
+    from fractions import Fraction  # on first use: it loads decimal too
+    return EulerSum(Fraction(*_euler_terms(s)))
 
 
 def orientable_double_cover(s: SeifertSymbol) -> SeifertSymbol:
@@ -76,24 +61,22 @@ def orientable_double_cover(s: SeifertSymbol) -> SeifertSymbol:
     as (2,1) pairs first, lifts to the two fibers (mu, beta) and
     (mu, mu - beta); the obstruction of the cover is minus the fiber
     count. The cover's orbit surface doubles along the kernel of the
-    product of the classifying and orientation characters, which lands
-    in the tabulated class: (N,o,g) -> (O,o,2g-1), (N,n,I,k) ->
-    (O,o,k-1), (N,n,II,k) and (N,n,III,k) -> (O,n,2k-2).
+    product of the classifying and orientation characters: its Euler
+    characteristic doubles, and it is orientable exactly over (N,o) and
+    (N,n,I). So (N,o,g) -> (O,o,2g-1), (N,n,I,k) -> (O,o,k-1), and
+    (N,n,II,k) and (N,n,III,k) -> (O,n,2k-2).
     """
     s = normalize_symbol(s)
     if s.class_part.total != "N":
         raise AlreadyOrientable("double cover needs a class-N symbol")
     if s.is_bounded:
         raise NotClosed("double cover is defined here for closed symbols")
-    pairs = s.expanded_pairs()
-    lifted = []
-    for p in pairs:
-        lifted.append(CrossingPair(p.mu, p.beta))
-        lifted.append(CrossingPair(p.mu, p.mu - p.beta))
-    cp = s.class_part
-    new_cp = _DOUBLE_ORBIT[(cp.orbit, cp.subtype)](cp.genus)
-    cover = SeifertSymbol(new_cp, 0, 0, -len(pairs), tuple(lifted))
-    return normalize_symbol(cover)
+    cp, pairs = s.class_part, s.expanded_pairs()
+    chi = 2 * _surface_chi(cp)  # the cover's orbit surface
+    cover = ClassPart("O", "o", 1 - chi // 2) if cp.subtype in (None, "I") \
+        else ClassPart("O", "n", 2 - chi)
+    lifted = [(mu, b) for mu, beta in pairs for b in (beta, mu - beta)]
+    return _normal_form(cover, 0, 0, -len(pairs), 0, lifted)
 
 
 @record
@@ -113,7 +96,9 @@ class FiberlessCover:
 
 
 def _fiberless_base(s: SeifertSymbol, sheets: int = 1):
-    """Normal form and orbifold Euler characteristic of a cover base.
+    """The normal form of a cover base and its orbifold Euler
+    characteristic as integers (chi, m): it is chi/m over the lcm m of the
+    indices.
 
     Raises NotClosedOriented off closed class O, ValidityError for a
     sheet count below 1 and QuotientFinite over a finite quotient.
@@ -123,10 +108,11 @@ def _fiberless_base(s: SeifertSymbol, sheets: int = 1):
         raise NotClosedOriented("fiberless covers need a closed class-O symbol")
     if sheets < 1:
         raise ValidityError(f"sheet count must be >= 1, got {sheets}")
-    sig = signature_of_symbol(s)
-    if fuchsian_size_class(sig) == SizeClass.FINITE:
+    chi, m = _orbifold_chi_terms(_surface_chi(s.class_part),
+                                 [p.mu for p in s.pairs])
+    if chi > 0:
         raise QuotientFinite("Fuchsian quotient is finite; no fiberless cover")
-    return s, fuchsian_euler(sig)
+    return s, chi, m
 
 
 def fiberless_cover(s: SeifertSymbol, sheets: int) -> FiberlessCover:
@@ -140,18 +126,15 @@ def fiberless_cover(s: SeifertSymbol, sheets: int) -> FiberlessCover:
     hypothesis. Existence of a subgroup realizing the sheet count is
     not checked; the arithmetic is exact for any valid count.
     """
-    s, orbifold_chi = _fiberless_base(s, sheets)
+    s, chi, m = _fiberless_base(s, sheets)
     for p in s.pairs:
         if sheets % p.mu != 0:
             raise IndexNotDivisible(
                 f"fiber index {p.mu} does not divide sheet count {sheets}")
-    b = sheets * euler_sum(s).value
-    chi = sheets * orbifold_chi
-    if b.denominator != 1 or chi.denominator != 1:
-        raise InternalError(f"cover obstruction {b} or orbit chi {chi} "
-                            f"not integral at {sheets} sheets")
-    b = int(b)
-    chi = int(chi)
+    # the loop leaves the lcm m of the indices dividing sheets, so both
+    # sheets * total / m and sheets * chi / m are exact integer quotients
+    b = sheets // m * _euler_terms(s)[0]
+    chi = sheets // m * chi
     if s.class_part.orbit == "o":
         if chi % 2 != 0:
             raise OddEulerCharacteristic(
@@ -170,9 +153,5 @@ def suggest_cover_sheets(s: SeifertSymbol) -> int:
     would leave an odd cover orbit characteristic. Purely arithmetic:
     whether a subgroup of this index exists is a separate question.
     """
-    s, orbifold_chi = _fiberless_base(s)
-    base = lcm(*(p.mu for p in s.pairs)) if s.pairs else 1
-    chi = base * orbifold_chi
-    if chi.denominator == 1 and int(chi) % 2 == 0:
-        return base
-    return 2 * base
+    _, chi, m = _fiberless_base(s)
+    return m if chi % 2 == 0 else 2 * m

@@ -48,6 +48,14 @@ class OutputTooLong(InputError):
                          "to text")
 
 
+COUNT_LIMIT = 10**6
+
+
+class CountTooLarge(InputError):
+    """A genus, boundary count or index-2 count past COUNT_LIMIT where a
+    result would write out one generator or pair for each."""
+
+
 class ValidityError(InputError):
     """Structurally parseable data violating a symbol invariant."""
 

@@ -26,8 +26,9 @@ from math import gcd, lcm
 from ._record import record
 from .arith import IntMatrix, _chain, _two_row_factors, _xgcd, \
     smith_normal_form
-from .errors import (InternalError, InvalidIndex, InvalidSurface, LimitTooSmall,
-                     OutputTooLong, ValidityError)
+from .errors import (COUNT_LIMIT, CountTooLarge, InternalError, InvalidIndex,
+                     InvalidSurface, LimitTooSmall, OutputTooLong,
+                     ValidityError)
 from .symbol import SeifertSymbol, normalize_symbol
 
 TYPE_CHECKING = False
@@ -211,12 +212,15 @@ def presentation_texts(s: SeifertSymbol) -> tuple:
     is y h y^-1 h^-1, or y h y^-1 h for a reversing generator, and vanishes
     in the quotient; each pair gives c^mu h^beta, and c^mu in the quotient;
     the long relator of a closed symbol loses its h tail in the quotient.
-    Raises OutputTooLong when an exponent has too many digits to print.
+    Raises OutputTooLong when an exponent has too many digits to print, and
+    CountTooLarge when the genus, boundary or index-2 count is too large.
     """
     s = normalize_symbol(s)
     cp, tori, klein = s.class_part, s.boundary_tori, s.boundary_klein
-    pairs = s.expanded_pairs()
     n = cp.genus
+    if n > COUNT_LIMIT or tori + klein > COUNT_LIMIT:
+        raise CountTooLarge(f"genus or boundary count over {COUNT_LIMIT}")
+    pairs = s.expanded_pairs()
     if cp.orbit == "o":
         surface = [f"{x}{i}" for i in range(1, n + 1) for x in "ab"]
     else:
@@ -323,18 +327,15 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
     linear in the fibers.
     """
     s = normalize_symbol(s)
-    cp, tori, klein, obstruction, pairs = s
+    cp, tori, klein = s.class_part, s.boundary_tori, s.boundary_klein
     closed = not (tori or klein)
     two = 2 if _reversing_count(cp) or klein else 0
     ycol = closed and cp.orbit == "n"
-    free = tori + klein + (2 * cp.genus if cp.orbit == "o"
-                           else cp.genus - ycol)
-    if closed and cp.total == "N":  # the index-2 count s
-        pairs += ((2, 1),) * obstruction[1]
+    free = tori + klein + 2 - _surface_chi(cp) - ycol  # 2 - chi surface gens
     side = []
     pure = []
     m, bh = 1, 0
-    for mu, beta in pairs:
+    for mu, beta in s.expanded_pairs():
         g = gcd(m, mu)
         if g == 1:
             m, bh = m * mu, mu * bh + m * beta
@@ -642,12 +643,17 @@ class FuchsianSignature:
 
 def signature_of_symbol(s: SeifertSymbol) -> FuchsianSignature:
     """Signature of the symbol's Fuchsian quotient."""
-    s = normalize_symbol(s)
-    cp = s.class_part
-    degrees = tuple(sorted(p.mu for p in s.expanded_pairs()))
-    size = 2 * cp.genus if cp.orbit == "o" else cp.genus
-    return FuchsianSignature(cp.orbit == "o", size,
-                             s.boundary_tori + s.boundary_klein, degrees)
+    s = normalize_symbol(s)  # its expanded pairs are sorted
+    return FuchsianSignature(s.class_part.orbit == "o",
+                             2 - _surface_chi(s.class_part),
+                             s.boundary_tori + s.boundary_klein,
+                             tuple([p.mu for p in s.expanded_pairs()]))
+
+
+def _surface_chi(cp) -> int:
+    """The Euler characteristic of the closed orbit surface of a class
+    part: 2 - 2g over g handles, 2 - g over g crosscaps."""
+    return 2 - (2 * cp.genus if cp.orbit == "o" else cp.genus)
 
 
 def _orbifold_chi_terms(chi0: int, degrees) -> tuple:

@@ -40,8 +40,8 @@ import re
 from math import gcd
 
 from ._record import record
-from .errors import InvalidSurface, ModeError, NotOriented, OutputTooLong, \
-    ParseError, ValidityError
+from .errors import COUNT_LIMIT, CountTooLarge, InvalidSurface, ModeError, \
+    NotOriented, OutputTooLong, ParseError, ValidityError
 from .fst import CrossingPair
 
 _INDEX_TWO = CrossingPair(2, 1)
@@ -169,16 +169,16 @@ class SeifertSymbol:
         return len(self.pairs) + (self.obstruction[1] if counted else 0)
 
     def expanded_pairs(self) -> tuple:
-        """Pairs with the s count written out as explicit (2,1) entries,
-        sorted by (mu, beta)."""
-        extra = self.obstruction[1] \
-            if self.class_part.total == "N" and self.is_closed else 0
+        """Pairs with the s count written out, the one site that does so,
+        as (2,1) entries sorted by (mu, beta); CountTooLarge past its limit."""
+        extra = self.fiber_count - len(self.pairs)
+        if extra > COUNT_LIMIT:
+            raise CountTooLarge(f"index-2 count over {COUNT_LIMIT}")
         if self._normal:
             # the pairs are sorted, and a closed class-N normal form lists
             # no index-2 pair, so the (2,1) entries come first
             return (_INDEX_TWO,) * extra + self.pairs
-        return tuple(sorted([_INDEX_TWO] * extra + list(self.pairs),
-                            key=lambda p: (p.mu, p.beta)))
+        return tuple(sorted([_INDEX_TWO] * extra + list(self.pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +481,25 @@ class ClassInfo:
     description: str
 
 
+# Seifert's classes of fibrations over a closed surface, in order, by the
+# orbit's orientability and the least genus or crosscap count carrying it
+_CLASSES = (
+    (True, 0, ClassInfo("trivial", "O,o",
+                        "fiber orientation preserved along every loop")),
+    (True, 1, ClassInfo("onto", "N,o", "a handle loop reverses fiber "
+                        "orientation; total space non-orientable")),
+    (False, 1, ClassInfo("trivial", "N,n,I", "fiber orientation preserved "
+                         "along every loop; total space non-orientable")),
+    (False, 1, ClassInfo("orientation", "O,n", "fiber orientation reversed "
+                         "exactly along orientation-reversing loops; "
+                         "total space orientable")),
+    (False, 2, ClassInfo("one-crosscap", "N,n,II", "fiber orientation "
+                         "reversed along the first crosscap loop only")),
+    (False, 3, ClassInfo("two-crosscap", "N,n,III", "fiber orientation "
+                         "reversed along the first two crosscap loops")),
+)
+
+
 def classifying_classes(g: SurfaceSpec):
     """The classes of homomorphisms pi1(G) -> Z/2 up to surface symmetry.
 
@@ -488,43 +507,11 @@ def classifying_classes(g: SurfaceSpec):
     behaves along loops. A bounded surface reduces to its capped-off
     closed surface, so the result depends only on orientability and genus.
     """
-    if g.orientable:
-        if g.genus == 0:
-            return (ClassInfo("trivial", "O,o",
-                              "fiber orientation preserved along every loop"),)
-        return (
-            ClassInfo("trivial", "O,o",
-                      "fiber orientation preserved along every loop"),
-            ClassInfo("onto", "N,o",
-                      "a handle loop reverses fiber orientation; "
-                      "total space non-orientable"),
-        )
-    classes = [
-        ClassInfo("trivial", "N,n,I",
-                  "fiber orientation preserved along every loop; "
-                  "total space non-orientable"),
-        ClassInfo("orientation", "O,n",
-                  "fiber orientation reversed exactly along "
-                  "orientation-reversing loops; total space orientable"),
-    ]
-    if g.genus >= 2:
-        classes.append(ClassInfo(
-            "one-crosscap", "N,n,II",
-            "fiber orientation reversed along the first crosscap loop only"))
-    if g.genus >= 3:
-        classes.append(ClassInfo(
-            "two-crosscap", "N,n,III",
-            "fiber orientation reversed along the first two crosscap loops"))
-    return tuple(classes)
+    return tuple([info for orientable, least, info in _CLASSES
+                  if orientable == g.orientable and g.genus >= least])
 
 
 def total_space_orientability(c: ClassPart) -> str:
     """"O" when fiber-orientation behavior matches the orbit's orientation
-    homomorphism along every loop, else "N"."""
-    if c.orbit == "o":
-        # The orbit's orientation homomorphism is trivial, so the space is
-        # orientable exactly for the trivial class.
-        return c.total
-    # Non-orientable orbit: only the orientation class matches, and that
-    # class is the subtype-free (O,n).
-    return "O" if c.subtype is None else "N"
+    homomorphism along every loop, else "N": c.total, as ClassPart checks."""
+    return c.total

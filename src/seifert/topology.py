@@ -89,9 +89,8 @@ def _zero_chi(s: SeifertSymbol) -> bool:
     [1/2, 1), so chi^orb = 0 needs n = chi0 = 0 or n <= 2 chi0 < 2n, and
     only then is the sum taken.
     """
-    cp = s.class_part
-    chi0 = (2 - (2 * cp.genus if cp.orbit == "o" else cp.genus)
-            - s.boundary_tori - s.boundary_klein)
+    chi0 = (groups._surface_chi(s.class_part) - s.boundary_tori
+            - s.boundary_klein)
     if chi0 < 0:
         return False
     n = s.fiber_count

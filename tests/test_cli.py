@@ -309,6 +309,50 @@ def test_report_stdin_survives_an_overlong_output_integer():
     assert recs[2]["normalized"] == "(O,o,0 | 3)"
 
 
+# s = 10**20 index-2 fibers: past the count limit, and past the largest
+# tuple size, so no memory is taken before the error
+HUGE_S = f"(N,n,I,1 | (0, {10**20}))"
+S_OVER = "index-2 count over 1000000"
+
+
+def test_report_stdin_survives_a_count_past_the_limit(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin",
+                        io.StringIO(f"(O,o,0 | 1)\n{HUGE_S}\n(O,o,0 | 3)\n"))
+    rc, out, err = run(capsys, ["report", "--stdin"])
+    assert (rc, err) == (0, "")
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert len(recs) == 3
+    assert recs[1] == {"input": HUGE_S, "error": S_OVER}
+    assert recs[0]["normalized"] == "(O,o,0 | 1)"
+    assert recs[2]["normalized"] == "(O,o,0 | 3)"
+
+
+@pytest.mark.parametrize("kind", ["h1", "pi1", "fuchsian"])
+def test_group_of_a_count_past_the_limit_is_an_input_error(kind, capsys):
+    rc, out, err = run(capsys, ["group", kind, HUGE_S])
+    assert (rc, out, err) == (2, "", f"error: {S_OVER}\n")
+
+
+def _limit_memory():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--json", "(O,o,100000000000 | 0)"],
+    ["group", "pi1", "(N,n,II,100000000000 | (0,0))"],
+    ["report", "(O,o,0; m=100000000000 | -)"],
+], ids=["genus", "crosscaps", "boundary"])
+def test_a_genus_or_boundary_past_the_limit_is_an_input_error(argv):
+    # under a 1 GiB address space: writing out 10**11 surface or boundary
+    # generators would raise MemoryError long before any output
+    proc = subprocess.run([sys.executable, "-m", "seifert", *argv],
+                          capture_output=True, text=True,
+                          preexec_fn=_limit_memory)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: genus or boundary count over 1000000\n")
+
+
 def test_report_text_golden(capsys):
     rc, out, err = run(capsys, ["report", POINCARE_FAMILY])
     assert (rc, err) == (0, "")

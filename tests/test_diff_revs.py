@@ -2,7 +2,8 @@
 passes only a run that matches its file exactly, the box holds every
 closed (O,o,0) symbol it promises, the edited golden lines are seeded and
 mostly parse errors, and the worker records the bytes that `report
---stdin` writes, or the argv report of a text with a line break."""
+--stdin` writes, or the argv report of a text with a line break, and the
+covers and signature of the library."""
 
 import importlib.util
 import json
@@ -13,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from seifert import (InputError, ParseError, fuchsian_quotient,
-                     parse_symbol, pi1_presentation, render_symbol)
+from seifert import (InputError, ParseError, euler_sum, fiberless_cover,
+                     fuchsian_euler, fuchsian_quotient, fuchsian_size_class,
+                     parse_symbol, pi1_presentation, render_symbol,
+                     signature_of_symbol)
 from seifert.cli import build_report
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -163,6 +166,36 @@ def test_the_worker_records_the_bytes_report_stdin_writes(tmp_path):
     assert records[0]["presentations"] == [
         repr(build(parse_symbol(texts[0])))
         for build in (pi1_presentation, fuchsian_quotient)]
+
+
+def test_the_worker_records_the_covers_and_the_signature(tmp_path):
+    texts = ["(O,o,0 | -1, (2,1), (3,1), (7,1))", "(N,n,I,1 | (0,0), (3,1))",
+             "(O,o,0 | 1, (2,4))"]
+    (tmp_path / "texts.txt").write_text(
+        "".join(json.dumps(t) + "\n" for t in texts))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tests")])}
+    worker = subprocess.run(
+        [sys.executable, str(TOOL), "--worker", str(ROOT), "eval",
+         str(tmp_path / "texts.txt")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    hyperbolic, double, invalid = [json.loads(line)
+                                   for line in worker.stdout.splitlines()]
+    s = parse_symbol(texts[0])
+    sig = signature_of_symbol(s)
+    assert hyperbolic["covers"] == {
+        "suggest_cover_sheets": "84",
+        "fiberless_cover": repr(fiberless_cover(s, 84)),
+        "euler_sum": repr(euler_sum(s)),
+        "signature_of_symbol": repr(sig),
+        "fuchsian_euler": repr(fuchsian_euler(sig)),
+        "fuchsian_size_class": repr(fuchsian_size_class(sig))}
+    assert hyperbolic["cover_double"] == [
+        "", "error: double cover needs a class-N symbol\n", 3]
+    assert double["cover_double"] == ["(O,o,0 | -1, (3,1), (3,2))\n", "", 0]
+    assert double["covers"]["euler_sum"] == {
+        "error": "euler sum needs a closed symbol of class O"}
+    assert invalid["covers"] == {"error": "pair (2,4) is not coprime"}
 
 
 def test_a_text_with_a_line_break_is_reported_through_argv(tmp_path):

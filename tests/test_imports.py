@@ -65,7 +65,11 @@ def test_commands_that_print_no_fraction_or_json_load_neither():
         "for argv in (['normalize', '(O,o,0 | 0, (3,4))'],\n"
         "             ['equiv', '(O,o,0 | 1)', '(O,o,0 | -1)'],\n"
         "             ['group', 'order', '(O,o,0 | -1, (2,1), (3,5))'],\n"
-        "             ['group', 'order', '(O,o,1 | 0)']):\n"
+        "             ['group', 'order', '(O,o,1 | 0)'],\n"
+        "             ['cover', 'fiberless',\n"
+        "              '(O,o,0 | -1, (2,1), (3,1), (7,1))', '--sheets',\n"
+        "              '84'],\n"
+        "             ['cover', 'double', '(N,n,I,1 | (0,0), (3,1))']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        codes.append(run_cli(argv))\n"
         "print(*codes, *(m for m in ('fractions', 'decimal', 'json')\n"
@@ -73,7 +77,7 @@ def test_commands_that_print_no_fraction_or_json_load_neither():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "0", "1"]
+    assert proc.stdout.split() == ["0", "0", "0", "1", "0", "0"]
 
 
 def test_report_json_prints_the_same_bytes(capsys):

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parse_oracle
-from seifert import (ClassPart, CrossingPair, EquivalenceMode, InputError,
-                     ModeError, NotOriented, ParseError, SeifertSymbol,
-                     SurfaceSpec, ValidityError,
+from seifert import (ClassPart, CountTooLarge, CrossingPair, EquivalenceMode,
+                     InputError, ModeError, NotOriented, ParseError,
+                     SeifertSymbol, SurfaceSpec, ValidityError,
                      classifying_classes, normalize_symbol, parse_symbol,
                      render_symbol, reverse_orientation, symbols_equivalent,
                      total_space_orientability)
@@ -344,6 +344,17 @@ def test_the_pattern_reads_every_text_the_walker_reads(text):
             assert parse_symbol(text) == want
 
 
+@pytest.mark.parametrize("text", [
+    "(O,o,0 | 1, (5,- 2))", "(N,n,I,1 | (- 1, 0), (5,- 2))",
+    "(O,o,0; m=1 | -, (3, - 1))",
+])
+def test_the_pattern_reads_a_sign_parted_from_its_digits(text):
+    # rendered symbols and most edits put no whitespace after a sign
+    want = symbol._walk_tokens(text)
+    with _without_walker():
+        assert parse_symbol(text) == want
+
+
 @pytest.mark.parametrize("text", [t for t, _, _ in PARSE_ERROR_SITES] + [
     "(O,o,0; m=1 | -5)", "(O,o,0 | -)",
     "(O,o,0 | 1, (0,1))", "(O,o,0 | 1, (2,4))", "(O,o,0 | (1,0))",
@@ -505,6 +516,13 @@ def test_unoriented_equivalence_sees_through_reversal(s):
                               EquivalenceMode.UNORIENTED_FIBER)
 
 
+def test_the_index_2_count_is_written_out_up_to_its_limit():
+    pairs = parse_symbol("(N,n,I,1 | (0, 1000000))").expanded_pairs()
+    assert pairs == (CrossingPair(2, 1),) * 1000000
+    with pytest.raises(CountTooLarge, match="index-2 count over 1000000"):
+        parse_symbol("(N,n,I,1 | (0, 1000001))").expanded_pairs()
+
+
 # classifying classes
 
 
@@ -540,6 +558,37 @@ def test_bounded_surfaces_classify_as_their_capped_off_surfaces():
         for boundary in (1, 2, 5):
             assert classifying_classes(
                 SurfaceSpec(orientable, genus, boundary)) == closed
+
+
+TRIVIAL = ("trivial", "O,o", "fiber orientation preserved along every loop")
+ONTO = ("onto", "N,o", "a handle loop reverses fiber orientation; total "
+        "space non-orientable")
+FIXED = ("trivial", "N,n,I", "fiber orientation preserved along every loop; "
+         "total space non-orientable")
+ORIENTATION = ("orientation", "O,n", "fiber orientation reversed exactly "
+               "along orientation-reversing loops; total space orientable")
+ONE = ("one-crosscap", "N,n,II", "fiber orientation reversed along the "
+       "first crosscap loop only")
+TWO = ("two-crosscap", "N,n,III", "fiber orientation reversed along the "
+       "first two crosscap loops")
+
+
+@pytest.mark.parametrize("orientable,genus,classes", [
+    (True, 0, [TRIVIAL]),
+    *[(True, g, [TRIVIAL, ONTO]) for g in range(1, 5)],
+    (False, 1, [FIXED, ORIENTATION]),
+    (False, 2, [FIXED, ORIENTATION, ONE]),
+    (False, 3, [FIXED, ORIENTATION, ONE, TWO]),
+    (False, 4, [FIXED, ORIENTATION, ONE, TWO]),
+])
+def test_every_class_over_a_surface_is_written_out(orientable, genus, classes):
+    got = classifying_classes(SurfaceSpec(orientable, genus))
+    assert [(c.name, c.class_code, c.description) for c in got] == classes
+
+
+def test_no_class_over_a_non_orientable_surface_of_genus_0():
+    with pytest.raises(InputError):
+        classifying_classes(SurfaceSpec(False, 0))
 
 
 def test_total_space_orientability_table():

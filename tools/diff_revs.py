@@ -27,9 +27,14 @@ byte for byte (report.line) and key by key (report.input, report.pi1,
 ...; report.error for an error line; a text with a line break goes
 through `report --json` instead, report.argv on an error), the repr of pi1_presentation and
 of fuchsian_quotient or each one's error text (presentations), the
-classify_small name and order, `group order` stdout, stderr and exit
-code, and `reverse` and both `equiv` modes of the symbol against its
-reverse. With --argv it also runs the fixed command lines of argv_lines
+classify_small name and order, `group order` and `cover double` stdout,
+stderr and exit code, `reverse` and both `equiv` modes of the symbol
+against its reverse, and key by key the repr or error text of the
+library's covers and signature (covers.suggest_cover_sheets,
+covers.fiberless_cover at that count, covers.euler_sum,
+covers.signature_of_symbol, covers.fuchsian_euler and
+covers.fuchsian_size_class; covers.error when the text does not parse).
+With --argv it also runs the fixed command lines of argv_lines
 (help at every depth, usage errors, abbreviated options, the
 --max-cosets forms, negative ints) through each revision's run_cli,
 under three values of SEIFERT_MAX_COSETS, and compares stdout, stderr
@@ -205,6 +210,27 @@ def _small(text):
     return None if res is None else [res.name, res.order]
 
 
+def _covers(text) -> dict:
+    """The library's covers and base-orbifold values of a symbol, each its
+    repr or _call's error record: the fiberless cover at the sheet count
+    suggest_cover_sheets gives, the Euler sum, and the signature with its
+    Euler characteristic and size class."""
+    import seifert as sf
+    s = sf.parse_symbol(text)
+    suggest = sf.suggest_cover_sheets
+    builds = {
+        "suggest_cover_sheets": lambda: suggest(s),
+        "fiberless_cover": lambda: sf.fiberless_cover(s, suggest(s)),
+        "euler_sum": lambda: sf.euler_sum(s),
+        "signature_of_symbol": lambda: sf.signature_of_symbol(s),
+        "fuchsian_euler": lambda: sf.fuchsian_euler(sf.signature_of_symbol(s)),
+        "fuchsian_size_class":
+            lambda: sf.fuchsian_size_class(sf.signature_of_symbol(s)),
+    }
+    return {key: _call(lambda: repr(build()))
+            for key, build in builds.items()}
+
+
 def _presentations(text):
     from seifert import fuchsian_quotient, parse_symbol, pi1_presentation
     s = parse_symbol(text)
@@ -262,6 +288,8 @@ def worker(checkout: Path, mode: str, *args) -> int:
                "presentations": _call(_presentations, text),
                "small": _call(_small, text),
                "group_order": _cli_call(cli, ["group", "order", text]),
+               "cover_double": _cli_call(cli, ["cover", "double", text]),
+               "covers": _call(_covers, text),
                "reverse": rev, "equiv": None}
         if rev[2] == 0:
             other = rev[0].strip()
@@ -276,7 +304,8 @@ def worker(checkout: Path, mode: str, *args) -> int:
 
 
 def _flat(rec: dict) -> dict:
-    out = {f"report.{k}": v for k, v in rec.pop("report", {}).items()}
+    out = {f"{name}.{k}": v for name in ("report", "covers")
+           for k, v in rec.pop(name, {}).items()}
     out.update(rec)
     return out
 
