@@ -131,8 +131,8 @@ def fiberless_cover(s: SeifertSymbol, sheets: int) -> FiberlessCover:
         if sheets % p.mu != 0:
             raise IndexNotDivisible(
                 f"fiber index {p.mu} does not divide sheet count {sheets}")
-    # the loop leaves the lcm m of the indices dividing sheets, so both
-    # sheets * total / m and sheets * chi / m are exact integer quotients
+    # e and chi^orb are total/m and chi/m over the one lcm m of the indices,
+    # which the loop leaves dividing sheets: both products are integers
     b = sheets // m * _euler_terms(s)[0]
     chi = sheets // m * chi
     if s.class_part.orbit == "o":

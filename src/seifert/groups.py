@@ -216,7 +216,7 @@ def presentation_texts(s: SeifertSymbol) -> tuple:
     CountTooLarge when the genus, boundary or index-2 count is too large.
     """
     s = normalize_symbol(s)
-    cp, tori, klein = s.class_part, s.boundary_tori, s.boundary_klein
+    cp, tori, klein, _, _ = s
     n = cp.genus
     if n > COUNT_LIMIT or tori + klein > COUNT_LIMIT:
         raise CountTooLarge(f"genus or boundary count over {COUNT_LIMIT}")
@@ -327,11 +327,12 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
     linear in the fibers.
     """
     s = normalize_symbol(s)
-    cp, tori, klein = s.class_part, s.boundary_tori, s.boundary_klein
+    cp, tori, klein, _, _ = s
     closed = not (tori or klein)
     two = 2 if _reversing_count(cp) or klein else 0
     ycol = closed and cp.orbit == "n"
-    free = tori + klein + 2 - _surface_chi(cp) - ycol  # 2 - chi surface gens
+    free = tori + klein + (2 * cp.genus if cp.orbit == "o"
+                           else cp.genus - ycol)
     side = []
     pure = []
     m, bh = 1, 0

@@ -586,11 +586,6 @@ def test_every_class_over_a_surface_is_written_out(orientable, genus, classes):
     assert [(c.name, c.class_code, c.description) for c in got] == classes
 
 
-def test_no_class_over_a_non_orientable_surface_of_genus_0():
-    with pytest.raises(InputError):
-        classifying_classes(SurfaceSpec(False, 0))
-
-
 def test_total_space_orientability_table():
     assert total_space_orientability(ClassPart("O", "o", 2)) == "O"
     assert total_space_orientability(ClassPart("O", "n", 1)) == "O"
