@@ -72,7 +72,7 @@ def orientable_double_cover(s: SeifertSymbol) -> SeifertSymbol:
     if s.is_bounded:
         raise NotClosed("double cover is defined here for closed symbols")
     cp, pairs = s.class_part, s.expanded_pairs()
-    chi = 2 * _surface_chi(cp)  # the cover's orbit surface
+    chi = 2 * _surface_chi(cp)  # of the cover's orbit surface
     cover = ClassPart("O", "o", 1 - chi // 2) if cp.subtype in (None, "I") \
         else ClassPart("O", "n", 2 - chi)
     lifted = [(mu, b) for mu, beta in pairs for b in (beta, mu - beta)]

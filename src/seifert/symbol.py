@@ -165,9 +165,8 @@ class SeifertSymbol:
     @property
     def fiber_count(self) -> int:
         """Exceptional fibers listed plus the index-2 count s, if any."""
-        if self.class_part.total == "N" and self.is_closed:
-            return len(self.pairs) + self.obstruction[1]
-        return len(self.pairs)
+        counted = self.class_part.total == "N" and self.is_closed
+        return len(self.pairs) + (self.obstruction[1] if counted else 0)
 
     def expanded_pairs(self) -> tuple:
         """Pairs with the s count written out, the one site that does so,
