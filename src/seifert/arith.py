@@ -257,7 +257,8 @@ def _two_row_factors(a):
 
 
 def _core_factors(a):
-    """Invariant factors of a dense matrix with no zero row or column."""
+    """Invariant factors of a nonempty integer matrix, 1s included, as
+    many as its rank. Zero rows and columns may be present."""
     if len(a) > len(a[0]):
         a = [list(col) for col in zip(*a)]
     if len(a) <= 2:

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from ._record import record
-from .arith import IntMatrix, _chain, _two_row_factors, _xgcd, \
-    smith_normal_form
+from .arith import IntMatrix, _chain, _core_factors, _xgcd, smith_normal_form
 from .errors import (COUNT_LIMIT, CountTooLarge, InternalError, InvalidIndex,
                      InvalidSurface, LimitTooSmall, OutputTooLong,
                      ValidityError)
@@ -104,12 +103,7 @@ class AbelianGroup:
 
     def order(self):
         """Group order, or 0 when infinite."""
-        if self.free_rank:
-            return 0
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
+        return 0 if self.free_rank else prod(self.torsion)
 
     def describe(self) -> str:
         """Text like "Z^2 + Z/2 + Z/6"; raises OutputTooLong when a
@@ -320,11 +314,11 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
       Z/g when its h-entry lies in the ideal generated by its index, the
       h-entries above it, the core's and 2 (when there is a row 2h).
     What is left is a few rows on h, y and the unsplit d. The core row
-    alone, with no split factor, is Z/|core| (Z when core = 0). A core
-    of at most two columns, the usual case, has its factors read from its
-    determinantal divisors (gcds of its entries and of its 2 x 2 minors);
-    only a wider one reaches the Smith normal form. So the cost is about
-    linear in the fibers.
+    alone, with no split factor, is Z/|core| (Z when core = 0). Any other
+    core goes to arith._core_factors, which reads a core of at most two
+    rows or columns, the usual case, from its determinantal divisors (gcds
+    of its entries and of its 2 x 2 minors) and eliminates only a larger
+    one. So the cost is about linear in the fibers.
     """
     s = normalize_symbol(s)
     cp, tori, klein, _, _ = s
@@ -363,26 +357,19 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
     if width == 1 and not pure and not two:  # the core row alone
         core = abs(core)
         return AbelianGroup(free + (core == 0), (core,) if core > 1 else ())
-    if width <= 2:  # the columns h, then y or d, passed as rows
-        a = [[r for _, r in rest] + [core, two]]
-        if width == 2:
-            a.append([g for g, _ in rest] + [-2 * m * ycol, 0])
-        factors = _two_row_factors(a)
-        defect = width - len(factors)
-    else:
-        rows = []
-        for i, (g, r) in enumerate(rest):
-            row = [0] * width
-            row[0], row[1 + ycol + i] = r, g
-            rows.append(row)
-        if closed:
-            rows.append([core] + [-2 * m] * ycol + [0] * len(rest))
-        if two:
-            rows.append([2] + [0] * (width - 1))
-        factors, defect = smith_normal_form(
-            IntMatrix(len(rows), width, tuple(chain.from_iterable(rows))))
+    rows = []  # on the columns h, then y, then each unsplit d
+    for i, (g, r) in enumerate(rest):
+        row = [0] * width
+        row[0], row[1 + ycol + i] = r, g
+        rows.append(row)
+    if closed:
+        rows.append([core] + [-2 * m] * ycol + [0] * len(rest))
+    if two:
+        rows.append([2] + [0] * (width - 1))
+    factors = _core_factors(rows) if rows else ()
     torsion = _chain(pure + list(factors))  # smallest first: 1s lead
-    return AbelianGroup(free + defect, tuple(torsion[torsion.count(1):]))
+    return AbelianGroup(free + width - len(factors),
+                        tuple(torsion[torsion.count(1):]))
 
 
 def _add_side_row(side, pure, g, r):

@@ -125,6 +125,12 @@ class SmallResult:
     witness: GluingMatrix | None = None
 
 
+def _platonic(triple, order) -> SmallResult:
+    """The platonic space of a sorted index triple: its name's one writer."""
+    return SmallResult("platonic", "platonic ({},{},{})".format(*triple),
+                       None, triple, order)
+
+
 def sphere_h1_order(b, pairs) -> int:
     """|H1| determinant for a sphere-base symbol; 0 means infinite.
 
@@ -132,10 +138,8 @@ def sphere_h1_order(b, pairs) -> int:
     |sum(beta_i * prod(mu_j, j != i)) - b * prod(mu_i)| is the determinant
     of the abelianized relators, the Smith-form order of the group.
     """
-    prod = 1
-    for p in pairs:
-        prod *= p.mu
-    return abs(sum(p.beta * (prod // p.mu) for p in pairs) - b * prod)
+    m = prod(p.mu for p in pairs)
+    return abs(sum(p.beta * (m // p.mu) for p in pairs) - b * m)
 
 
 def _sewing_q(b, first, second) -> int:
@@ -177,9 +181,7 @@ def recognize_S2_symbol(s: SeifertSymbol) -> SmallResult | None:
         if not tri.finite:
             return None
         h1 = sphere_h1_order(b, pairs)
-        return SmallResult("platonic", "platonic ({},{},{})".format(*tri.indices),
-                           None, tri.indices,
-                           h1 * tri.order ** 2 // prod(tri.indices))
+        return _platonic(tri.indices, h1 * tri.order ** 2 // prod(tri.indices))
     padded = [(c.mu, c.beta) for c in pairs] + [(1, 0)] * (2 - len(pairs))
     q = _sewing_q(b, *padded)
     p = sphere_h1_order(b, pairs)

@@ -16,8 +16,8 @@ from ._record import record
 from .covers import _euler_terms
 from .errors import ExcludedSpace, ValidityError
 from .fst import CrossingPair
-from .lens import (_S2, SmallResult, lens_normalize, recognize_S2_symbol,
-                   sphere_h1_order)
+from .lens import (_S2, SmallResult, _platonic, lens_normalize,
+                   recognize_S2_symbol, sphere_h1_order)
 from .symbol import (EquivalenceMode, SeifertSymbol, normalize_symbol,
                      symbols_equivalent)
 
@@ -74,10 +74,9 @@ def classify_small(s: SeifertSymbol) -> SmallResult | None:
         n = 4 * f.mu * t
         if t == 1:
             # the group order 4 mu is |H1|, so the group is cyclic
-            return SmallResult("lens", f"L({n},{n // 2 - 1})",
-                               lens_normalize(n, n // 2 - 1), None, n)
-        return SmallResult("platonic", f"platonic (2,2,{n // 4})", None,
-                           (2, 2, n // 4), n)
+            params = lens_normalize(n, n // 2 - 1)
+            return SmallResult("lens", params.display(), params, None, n)
+        return _platonic((2, 2, n // 4), n)
     return None
 
 
@@ -137,61 +136,52 @@ class PredicateReport:
             raise ValidityError("finite group excludes asphericity")
 
 
-# (irreducible, p2_irreducible, aspherical, boundary_irreducible,
-#  has_incompressible_surface); pi1_finite is the group order's
-_SMALL_FLAGS = {
-    "fibered-solid-torus": (True, True, True, False, False),
-    "S3": (True, True, False, True, False),
-    "lens": (True, True, False, True, False),
-    "platonic": (True, True, False, True, False),
-    "S2xS1": (False, False, False, True, True),
-    "twisted-S2-bundle": (False, False, False, True, True),
-    "P3#P3": (False, False, False, True, True),
-    "P2xS1": (True, False, False, True, True),
-}
+_SPHERE_NOTE = "essential non-separating sphere counted as incompressible"
 
-_SMALL_NOTES = {
-    "fibered-solid-torus": "boundary compresses: meridian disk",
-    "S2xS1": "essential non-separating sphere counted as incompressible",
-    "twisted-S2-bundle": "essential non-separating sphere counted as incompressible",
-    "P3#P3": "essential summing sphere counted as incompressible",
-    "P2xS1": "two-sided projective plane is incompressible",
+# (irreducible, p2_irreducible, aspherical, boundary_irreducible,
+#  has_incompressible_surface, note) per small category; None is the
+# uniform block of a space that is not small. pi1_finite is whether
+# classify_small found a group order.
+_PREDICATE_ROWS = {
+    None: (True, True, True, True, True, None),
+    "fibered-solid-torus": (True, True, True, False, False,
+                            "boundary compresses: meridian disk"),
+    "S3": (True, True, False, True, False, None),
+    "lens": (True, True, False, True, False, None),
+    "platonic": (True, True, False, True, False, None),
+    "S2xS1": (False, False, False, True, True, _SPHERE_NOTE),
+    "twisted-S2-bundle": (False, False, False, True, True, _SPHERE_NOTE),
+    "P3#P3": (False, False, False, True, True,
+              "essential summing sphere counted as incompressible"),
+    "P2xS1": (True, False, False, True, True,
+              "two-sided projective plane is incompressible"),
 }
 
 
 def predicates(s: SeifertSymbol) -> PredicateReport:
     """Full predicate block for a symbol.
 
-    Spaces that are not small satisfy the uniform positive block
-    (irreducible, P2-irreducible, aspherical, boundary irreducible,
-    infinite group, incompressible surface present), except that sphere
-    bases with exactly three exceptional fibers contain an
-    incompressible surface exactly when the first homology is infinite.
-    Small spaces take their flags from a fixed per-space table, except
-    pi1_finite, which is whether classify_small found a group order.
+    Each small category, and the spaces that are not small, take their
+    flags from one table; a space that is not small is irreducible,
+    P2-irreducible, aspherical and boundary irreducible, with an infinite
+    group and an incompressible surface, except that sphere bases with
+    exactly three exceptional fibers contain an incompressible surface
+    exactly when the first homology is infinite.
     """
     s = normalize_symbol(s)
     small = classify_small(s)
     flat = is_flat(s)
-    notes = []
-    if small is None:
-        inc = True
-        if len(s.pairs) == 3 and s.is_closed and s.class_part == _S2:
-            x = groups._long_relator_exponent(s)
-            inc = sphere_h1_order(x, s.pairs) == 0
-            notes.append("three-fiber sphere base: incompressible surface "
-                         "exists exactly when first homology is infinite")
-        # the uniform block: irreducible, P2-irreducible, aspherical and
-        # boundary irreducible, with an infinite group
-        return PredicateReport(None, flat, False, True, True, True, True, inc,
-                               None, tuple(notes))
-    irr, p2, asph, bd, inc = _SMALL_FLAGS[small.category]
-    note = _SMALL_NOTES.get(small.category)
-    if note:
-        notes.append(note)
-    fin = small.order is not None
-    return PredicateReport(small.category, flat, fin, irr, p2, asph, bd, inc,
-                           small.name, tuple(notes))
+    category = name = order = None
+    if small is not None:
+        category, name, order = small.category, small.name, small.order
+    irr, p2, asph, bd, inc, note = _PREDICATE_ROWS[category]
+    if (category is None and len(s.pairs) == 3 and s.is_closed
+            and s.class_part == _S2):
+        inc = sphere_h1_order(groups._long_relator_exponent(s), s.pairs) == 0
+        note = ("three-fiber sphere base: incompressible surface exists "
+                "exactly when first homology is infinite")
+    return PredicateReport(category, flat, order is not None, irr, p2, asph,
+                           bd, inc, name, (note,) if note else ())
 
 
 def bounded_equivalent(s1: SeifertSymbol, s2: SeifertSymbol) -> bool:

@@ -1,7 +1,8 @@
 """Identities of covers that hold under any convention for b (ROADMAP
 item 14): under a finite cover the first Betti number does not drop
 (transfer), and the orientation double cover of a closed class-N symbol
-has Euler sum 0.
+has Euler sum 0. Over a closed orbit other than (O,o) the first Betti
+number is read from the class alone (item 16's closed slice).
 
 The covers build their own e and chi, so checking those against each
 other would be circular. b1 is read from the group instead: the
@@ -11,12 +12,14 @@ from the package's own homology, rank or Smith normal form.
 """
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import Verbosity, given, settings
+from hypothesis import strategies as st
 
 from seifert import (QuotientFinite, euler_sum, fiberless_cover,
-                     orientable_double_cover, parse_symbol,
+                     first_homology, orientable_double_cover, parse_symbol,
                      suggest_cover_sheets)
 import presentation_oracle
 from symbolgen import closed_nonorientable_symbols, closed_oriented_symbols
@@ -96,3 +99,36 @@ def test_the_orientation_double_cover_has_euler_sum_zero(s):
 @given(closed_nonorientable_symbols)
 def test_the_orientation_double_cover_does_not_lower_b1(s):
     assert b1(orientable_double_cover(s)) >= b1(s)
+
+
+# Over a closed orbit other than (O,o) the rank of H1 over Q does not
+# depend on b (Seifert 1933; Orlik, Seifert Manifolds, LNM 291, 1972): 2g
+# over (N,o,g), g over (N,n,I,g) and g - 1 over (O,n,g), (N,n,II,g) and
+# (N,n,III,g).
+
+
+def class_b1(cp) -> int:
+    if cp.orbit == "o":  # (N,o,g)
+        return 2 * cp.genus
+    return cp.genus - (cp.subtype != "I")
+
+
+@DRAWS
+@given(st.one_of(closed_nonorientable_symbols,
+                 closed_oriented_symbols.filter(
+                     lambda s: s.class_part.orbit == "n")))
+def test_b1_off_the_orientable_orbit_is_read_from_the_class(s):
+    want = class_b1(s.class_part)
+    assert first_homology(s).free_rank == want
+    assert b1(s) == want
+
+
+def test_b1_of_the_golden_lines_off_the_orientable_orbit():
+    golden = Path(__file__).parent / "data" / "golden_symbols.txt"
+    symbols = [parse_symbol(t) for t in golden.read_text().splitlines()]
+    symbols = [s for s in symbols
+               if s.is_closed and s.class_part[:2] != ("O", "o")]
+    assert len(symbols) == 84
+    for s in symbols:
+        want = class_b1(s.class_part)
+        assert (first_homology(s).free_rank, b1(s)) == (want, want), s

@@ -1,23 +1,25 @@
 """tools/diff_revs.py: a commit against itself differs nowhere, --expect
 passes only a run that matches its file exactly, the box holds every
-closed (O,o,0) symbol it promises, the edited golden lines are seeded and
-mostly parse errors, and the worker records the bytes that `report
---stdin` writes, or the argv report of a text with a line break, and the
-covers and signature of the library."""
+closed (O,o,0) symbol it promises, the small set reaches every category
+off the sphere, the edited golden lines are seeded and mostly parse
+errors, and the worker records the bytes that `report --stdin` writes,
+or the argv report of a text with a line break, and the covers and
+signature of the library."""
 
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from seifert import (InputError, ParseError, euler_sum, fiberless_cover,
-                     fuchsian_euler, fuchsian_quotient, fuchsian_size_class,
-                     parse_symbol, pi1_presentation, render_symbol,
-                     signature_of_symbol)
+from seifert import (InputError, ParseError, classify_small, euler_sum,
+                     fiberless_cover, fuchsian_euler, fuchsian_quotient,
+                     fuchsian_size_class, parse_symbol, pi1_presentation,
+                     render_symbol, signature_of_symbol)
 from seifert.cli import build_report
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,6 +123,34 @@ def test_the_box_holds_every_closed_sphere_symbol(monkeypatch):
     assert texts[-1] == "(O,o,0 | 6, (13,12), (13,12), (13,12))"
     # each text is the normal form's own text
     assert all(render_symbol(parse_symbol(t)) == t for t in texts[::997])
+
+
+@pytest.mark.skipif(not _has_head(), reason="needs a git checkout")
+def test_head_against_head_finds_no_difference_in_small(tmp_path):
+    out = tmp_path / "diff.json"
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--old", "HEAD", "--new", "HEAD",
+         "--small", "--out", str(out)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    inputs = json.loads(out.read_text())["inputs"]
+    assert {name: (res["symbols"], res["differences"])
+            for name, res in inputs.items()} == {"small": (1044, {})}
+
+
+def test_the_small_set_reaches_every_category_off_the_sphere(monkeypatch):
+    diff_revs = _load_tool(monkeypatch)
+    texts = diff_revs.small_texts()
+    assert len(texts) == len(set(texts)) == 1044
+    assert texts[0] == "(O,n,1 | -6)"
+    assert texts[-1] == "(O,o,0; m=1 | -, (13,12))"
+    found = Counter()
+    for text in texts:
+        res = classify_small(parse_symbol(text))
+        found[res and res.category] += 1
+    assert found == {"platonic": 727, "twisted-S2-bundle": 77,
+                     "fibered-solid-torus": 58, "P2xS1": 41, "lens": 26,
+                     "P3#P3": 1, None: 114}
 
 
 def test_edited_golden_lines_are_seeded_and_mostly_parse_errors(monkeypatch):

@@ -60,7 +60,7 @@ def _unreached(*args):
 @given(one_column_symbols())
 def test_a_one_column_core_is_read_as_the_presentation_abelianizes(s):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groups, "_two_row_factors", _unreached)
+        mp.setattr(groups, "_core_factors", _unreached)
         mp.setattr(groups, "_chain", _unreached)
         h1 = first_homology(s)
     assert h1 == abelianization(pi1_presentation(s))

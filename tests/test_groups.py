@@ -20,7 +20,7 @@ from seifert import (AbelianGroup, ClassPart, CrossingPair, FuchsianSignature,
                      recognize_S2_symbol, render_symbol, replace,
                      signature_of_symbol,
                      symbols_equivalent, triangle_info, triangle_presentation)
-from seifert import groups
+from seifert import arith, groups
 from seifert.groups import _presentation
 import presentation_oracle
 import snf_oracle
@@ -468,6 +468,17 @@ def test_first_homology_of_a_one_column_core_matches_the_oracle(s):
     assert first_homology(s) == snf_oracle.abelianization(pi1_presentation(s))
 
 
+def _refuse_elimination(monkeypatch):
+    """Make the Smith normal form and the elimination of a core of three
+    or more rows and columns raise."""
+    def refuse(*args):
+        raise AssertionError(f"elimination of {args[0]}")
+
+    monkeypatch.setattr(groups, "smith_normal_form", refuse)
+    monkeypatch.setattr(arith, "_rank_and_minor", refuse)
+    monkeypatch.setattr(arith, "_diagonal_mod", refuse)
+
+
 def test_one_column_cores_reach_no_smith_normal_form(monkeypatch):
     heads = [ClassPart("O", "o", g) for g in range(3)]
     rows = [normalize_symbol(SeifertSymbol(cp, 0, 0, b, pairs))
@@ -479,16 +490,14 @@ def test_one_column_cores_reach_no_smith_normal_form(monkeypatch):
              for m in (1, 2)]
     want = [snf_oracle.abelianization(pi1_presentation(s)) for s in rows]
 
-    def refuse(m):
-        raise AssertionError(f"Smith normal form of {m}")
-
-    monkeypatch.setattr(groups, "smith_normal_form", refuse)
+    _refuse_elimination(monkeypatch)
     assert [first_homology(s) for s in rows] == want
 
 
 # a two-column core, the column h and the column y of a closed
 # non-orientable orbit or the one side row left unsplit, has its invariant
-# factors read from its determinantal divisors, without a Smith normal form
+# factors read from its determinantal divisors, with no Smith normal form or
+# elimination
 
 _CLOSED_N_ORBIT = [ClassPart("O", "n", 1), ClassPart("O", "n", 3),
                    ClassPart("N", "n", 1, "I"), ClassPart("N", "n", 2, "II"),
@@ -548,10 +557,7 @@ def test_two_column_cores_reach_no_smith_normal_form(monkeypatch):
         "(N,o,0; m=0, kb=2 | -, (4,1), (6,1))")]
     want = [snf_oracle.abelianization(pi1_presentation(s)) for s in rows]
 
-    def refuse(m):
-        raise AssertionError(f"Smith normal form of {m}")
-
-    monkeypatch.setattr(groups, "smith_normal_form", refuse)
+    _refuse_elimination(monkeypatch)
     assert [first_homology(s) for s in rows] == want
 
 

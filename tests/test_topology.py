@@ -436,6 +436,67 @@ def test_predicates_small_rows():
     assert rep.small == "P3#P3" and not rep.irreducible
 
 
+_SPHERE_NOTE = "essential non-separating sphere counted as incompressible"
+_THREE_FIBER_NOTE = ("three-fiber sphere base: incompressible surface exists "
+                     "exactly when first homology is infinite")
+
+# every field of the block: one symbol per small category (the lens and
+# platonic ones over the sphere and over the projective plane), spaces
+# that are not small, flat or not, and both outcomes of the three-fiber
+# sphere rule
+_PREDICATE_ROWS = {
+    "(O,o,0; m=1 | -, (3,2))": (
+        "fibered-solid-torus", False, False, True, True, True, False, False,
+        "fibered solid torus", ("boundary compresses: meridian disk",)),
+    "(O,o,0 | 1)": (
+        "S3", False, True, True, True, False, True, False, "S3", ()),
+    "(O,o,0 | -1, (2,1), (3,1))": (
+        "lens", False, True, True, True, False, True, False, "L(11,3)", ()),
+    "(O,n,1 | 1)": (
+        "lens", False, True, True, True, False, True, False, "L(4,1)", ()),
+    "(O,o,0 | -1, (2,1), (3,1), (5,1))": (
+        "platonic", False, True, True, True, False, True, False,
+        "platonic (2,3,5)", ()),
+    "(O,n,1 | 2, (3,1))": (
+        "platonic", False, True, True, True, False, True, False,
+        "platonic (2,2,15)", ()),
+    "(O,o,0 | 0)": (
+        "S2xS1", False, False, False, False, False, True, True, "S2xS1",
+        (_SPHERE_NOTE,)),
+    "(N,n,I,1 | (0,1))": (
+        "twisted-S2-bundle", False, False, False, False, False, True, True,
+        "twisted S2 bundle over S1", (_SPHERE_NOTE,)),
+    "(O,n,1 | 0)": (
+        "P3#P3", False, False, False, False, False, True, True, "P3#P3",
+        ("essential summing sphere counted as incompressible",)),
+    "(N,n,I,1 | (0,0), (5,2))": (
+        "P2xS1", False, False, True, False, False, True, True, "P2xS1",
+        ("two-sided projective plane is incompressible",)),
+    "(O,o,2 | 5)": (
+        None, False, False, True, True, True, True, True, None, ()),
+    "(O,o,1 | 0)": (
+        None, True, False, True, True, True, True, True, None, ()),
+    "(O,o,1; m=1 | -, (2,1))": (
+        None, False, False, True, True, True, True, True, None, ()),
+    "(O,o,0 | 1, (2,1), (3,1), (6,1))": (
+        None, False, False, True, True, True, True, True, None,
+        (_THREE_FIBER_NOTE,)),
+    "(O,o,0 | -1, (2,1), (3,1), (7,1))": (
+        None, False, False, True, True, True, True, False, None,
+        (_THREE_FIBER_NOTE,)),
+}
+
+
+@pytest.mark.parametrize("text", _PREDICATE_ROWS)
+def test_every_predicate_row_field_by_field(text):
+    fields = ("small", "flat", "pi1_finite", "irreducible", "p2_irreducible",
+              "aspherical", "boundary_irreducible",
+              "has_incompressible_surface", "named", "notes")
+    rep = predicates(parse_symbol(text))
+    assert rep._fields == fields
+    assert rep._asdict() == dict(zip(fields, _PREDICATE_ROWS[text]))
+
+
 def test_predicate_implications_hold_widely():
     texts = ["(O,o,0 | 1)", "(O,o,0 | 0)", "(O,o,0 | -1, (2,1), (3,1))",
              "(O,o,0 | -1, (2,1), (3,1), (5,1))", "(O,o,0 | 2, (5,2), (7,3))",

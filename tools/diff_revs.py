@@ -1,15 +1,20 @@
 """Differential run of two commits: the same inputs, every output compared.
 
     python3 tools/diff_revs.py --old HEAD~1 --new HEAD --golden \
-        --seed 16 --draws 20000 --bench 2000 --box --argv --out diff.json
+        --seed 16 --draws 20000 --bench 2000 --box --small --argv \
+        --out diff.json
 
 Both revisions are unpacked with `git archive REV | tar -x`, as
 tools/bench_pairs.py does, and each is run by one worker process that
 imports the package from its own checkout. The inputs are the old
 revision's golden symbols (--golden), --draws symbols from
 symbolgen.random_symbol with random.Random(--seed) (drawn in the old
-checkout), and every closed (O,o,0) symbol with at most 3 fibers of index
-up to 13, any beta, and b from -6 to 6 (--box, 444,860 symbols). --draws
+checkout), every closed (O,o,0) symbol with at most 3 fibers of index up
+to 13, any beta, and b from -6 to 6 (--box, 444,860 symbols), and the
+1,044 symbols of small_texts (--small): (O,n,1 | b) for b from -6 to 6,
+(N,n,I,1 | (b,s)) for b and s in {0, 1} and the fibered solid torus
+(O,o,0; m=1 | -), each with no fiber or one of index up to 13, which
+reach every category that classify_small names off the sphere. --draws
 also builds the set edits: as many golden lines of the old revision, each
 with 1-4 random insertions, deletions or replacements from EDIT_CHARS,
 drawn by random.Random(--seed), so that most are parse errors and their
@@ -26,8 +31,8 @@ Per symbol it compares the line that `report --stdin` writes for it,
 byte for byte (report.line) and key by key (report.input, report.pi1,
 ...; report.error for an error line; a text with a line break goes
 through `report --json` instead, report.argv on an error), the repr of pi1_presentation and
-of fuchsian_quotient or each one's error text (presentations), the
-classify_small name and order, `group order` and `cover double` stdout,
+of fuchsian_quotient or each one's error text (presentations), the repr of
+the classify_small result (small), `group order` and `cover double` stdout,
 stderr and exit code, `reverse` and both `equiv` modes of the symbol
 against its reverse, and key by key the repr or error text of the
 library's covers and signature (covers.suggest_cover_sheets,
@@ -44,7 +49,7 @@ differs, 1 otherwise. Standard library only.
 
 A change that alters outputs on purpose states them with --expect FILE,
 a JSON object that maps each input set (golden, draws, edits, bench,
-box, argv) to its expected differences per key, and golden to the list
+box, small, argv) to its expected differences per key, and golden to the list
 of its differing inputs as well:
 
     {"golden": {"differences": {"report.h1": 66, ...}, "inputs": [...]},
@@ -79,15 +84,30 @@ EXAMPLES = 5
 EDIT_CHARS = " \t\n+-()|,;=0123456789ONIonmkb\u00b2\u0663"
 
 
+# every pair of index 2 to 13
+PAIRS = [f"({mu},{beta})" for mu in range(2, 14) for beta in range(1, mu)
+         if gcd(mu, beta) == 1]
+
+
 def box_texts():
     """Every closed (O,o,0) symbol with at most 3 fibers of index 2 to 13
     and b from -6 to 6, in its normal form's text."""
-    pairs = [f"({mu},{beta})" for mu in range(2, 14) for beta in range(1, mu)
-             if gcd(mu, beta) == 1]
     for n in range(4):
-        for chosen in combinations_with_replacement(pairs, n):
+        for chosen in combinations_with_replacement(PAIRS, n):
             for b in range(-6, 7):
                 yield f"(O,o,0 | {', '.join((str(b),) + chosen)})"
+
+
+def small_texts():
+    """The symbols that classify_small names off the sphere, and their
+    neighbours: (O,n,1 | b) for b from -6 to 6, (N,n,I,1 | (b,s)) for b
+    and s in {0, 1} and the fibered solid torus (O,o,0; m=1 | -), each
+    with no fiber or one of index 2 to 13; 1,044 texts."""
+    fibers = [""] + [f", {pair}" for pair in PAIRS]
+    heads = [f"(O,n,1 | {b}" for b in range(-6, 7)]
+    heads += [f"(N,n,I,1 | ({b},{s})" for b in (0, 1) for s in (0, 1)]
+    heads.append("(O,o,0; m=1 | -")
+    return [f"{head}{fiber})" for head in heads for fiber in fibers]
 
 
 def edit_texts(lines, seed: int, count: int) -> list:
@@ -206,8 +226,7 @@ def _call(fn, *args):
 
 def _small(text):
     from seifert import classify_small, parse_symbol
-    res = classify_small(parse_symbol(text))
-    return None if res is None else [res.name, res.order]
+    return repr(classify_small(parse_symbol(text)))
 
 
 def _covers(text) -> dict:
@@ -400,6 +419,9 @@ def main(argv=None) -> int:
                     "wide corpora")
     ap.add_argument("--box", action="store_true",
                     help="the closed (O,o,0) box of 444,860 symbols")
+    ap.add_argument("--small", action="store_true",
+                    help="the 1,044 projective-plane and solid-torus "
+                    "symbols of small_texts")
     ap.add_argument("--argv", action="store_true",
                     help="the fixed command lines of argv_lines")
     ap.add_argument("--out", required=True, type=Path)
@@ -431,6 +453,8 @@ def main(argv=None) -> int:
                                             args.bench)
         if args.box:
             sources["box"] = list(box_texts())
+        if args.small:
+            sources["small"] = small_texts()
         results = {name: compare(texts, (dirs["old"], dirs["new"]),
                                  keep_inputs=name == "golden")
                    for name, texts in sources.items()}
