@@ -5,9 +5,10 @@ the package builds its invariants on these two tools, so both are written for
 determinism first: the same input always yields the identical output object.
 
 The Smith normal form keeps its intermediate entries bounded by minors of
-the input: unit pivots first, then fraction-free (Bareiss) elimination for
-a nonzero minor D, then diagonalization modulo D (Kannan and Bachem 1979;
-Cohen, GTM 138, 2.4).
+the input: determinantal divisors for at most two rows or columns, else
+unit pivots first, then fraction-free (Bareiss) elimination for a nonzero
+minor D, then diagonalization modulo D (Kannan and Bachem 1979; Cohen,
+GTM 138, 2.4).
 """
 
 from __future__ import annotations
@@ -257,12 +258,25 @@ def _two_row_factors(a):
 
 
 def _core_factors(a):
-    """Invariant factors of a nonempty integer matrix, 1s included, as
-    many as its rank. Zero rows and columns may be present."""
+    """Invariant factors of an integer matrix of one row or more, 1s
+    included, as many as its rank; zero rows and columns may be present.
+
+    A matrix of at most two rows or columns has its factors read from its
+    determinantal divisors. A larger one has its pivots +-1 eliminated
+    first, each leaving a factor 1, and what is left is read again. With no
+    unit left, fraction-free elimination gives its rank r and a nonzero
+    r x r minor D, and it is diagonalized modulo D: d1 ... dr divides D, so
+    the factors are the r smallest of gcd(pivot, D).
+    """
     if len(a) > len(a[0]):
-        a = [list(col) for col in zip(*a)]
+        a = list(zip(*a))
     if len(a) <= 2:
         return _two_row_factors(a)
+    a = [list(row) for row in a if any(row)]
+    units = _eliminate_units(a)
+    if units or not a:  # what is left: its nonzero columns, as rows
+        a = [list(col) for col in zip(*a) if any(col)]
+        return (1,) * units + (_core_factors(a) if a else ())
     rank, det = _rank_and_minor(a)
     # Each of d1 ... d_rank divides det, so gcd(pivot, det) recovers it;
     # a pivot never reached, its block 0 mod det, stands for det.
@@ -278,23 +292,9 @@ def smith_normal_form(m: IntMatrix):
     positive integers d1 | d2 | ... | dk with k the rank of m over the
     rationals (factors equal to 1 are retained), and free_rank_defect is
     cols - k, the free rank of the cokernel when columns index generators.
-
-    Intermediate entries stay bounded by minors of m (Kannan and Bachem
-    1979; Cohen, GTM 138, 2.4). Pivots +-1 are eliminated first, and each
-    leaves a factor 1. What remains, the core, has its factors read from
-    determinantal divisors when it has at most two rows or columns.
-    Otherwise fraction-free elimination gives its rank r and a nonzero
-    r x r minor D, and the core is diagonalized modulo D: d1 ... dr divides
-    D, so the factors are the r smallest of gcd(pivot, D).
+    _core_factors reads them off the rows of m.
     """
-    nc = m.cols
-    e = m.entries
-    a = [row for row in (list(e[i:i + nc]) for i in range(0, len(e), nc or 1))
-         if any(row)]
-    units = _eliminate_units(a)
-    factors = (1,) * units
-    # the core: the nonzero columns, as rows (transposing keeps the factors)
-    core = [list(col) for col in zip(*a) if any(col)]
-    if core:
-        factors += _core_factors(core)
+    _, nc, e = m
+    rows = [list(e[i:i + nc]) for i in range(0, len(e), nc or 1)]
+    factors = _core_factors(rows) if rows else ()
     return factors, nc - len(factors)

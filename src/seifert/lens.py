@@ -138,8 +138,10 @@ def sphere_h1_order(b, pairs) -> int:
     |sum(beta_i * prod(mu_j, j != i)) - b * prod(mu_i)| is the determinant
     of the abelianized relators, the Smith-form order of the group.
     """
-    m = prod(p.mu for p in pairs)
-    return abs(sum(p.beta * (m // p.mu) for p in pairs) - b * m)
+    m, num = 1, 0
+    for mu, beta in pairs:
+        m, num = m * mu, num * mu + beta * m
+    return abs(num - b * m)
 
 
 def _sewing_q(b, first, second) -> int:

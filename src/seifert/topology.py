@@ -139,9 +139,9 @@ class PredicateReport:
 _SPHERE_NOTE = "essential non-separating sphere counted as incompressible"
 
 # (irreducible, p2_irreducible, aspherical, boundary_irreducible,
-#  has_incompressible_surface, note) per small category; None is the
-# uniform block of a space that is not small. pi1_finite is whether
-# classify_small found a group order.
+#  has_incompressible_surface, note) per small category; the row None is
+# a space that is not small, read as _NOT_SMALL: no name, no group order
+_NOT_SMALL = SmallResult(None, None)
 _PREDICATE_ROWS = {
     None: (True, True, True, True, True, None),
     "fibered-solid-torus": (True, True, True, False, False,
@@ -169,19 +169,17 @@ def predicates(s: SeifertSymbol) -> PredicateReport:
     exactly when the first homology is infinite.
     """
     s = normalize_symbol(s)
-    small = classify_small(s)
+    small = classify_small(s) or _NOT_SMALL
     flat = is_flat(s)
-    category = name = order = None
-    if small is not None:
-        category, name, order = small.category, small.name, small.order
+    category = small.category
     irr, p2, asph, bd, inc, note = _PREDICATE_ROWS[category]
     if (category is None and len(s.pairs) == 3 and s.is_closed
             and s.class_part == _S2):
         inc = sphere_h1_order(groups._long_relator_exponent(s), s.pairs) == 0
         note = ("three-fiber sphere base: incompressible surface exists "
                 "exactly when first homology is infinite")
-    return PredicateReport(category, flat, order is not None, irr, p2, asph,
-                           bd, inc, name, (note,) if note else ())
+    return PredicateReport(category, flat, small.order is not None, irr, p2,
+                           asph, bd, inc, small.name, (note,) if note else ())
 
 
 def bounded_equivalent(s1: SeifertSymbol, s2: SeifertSymbol) -> bool:
