@@ -196,6 +196,11 @@ def _presentation(text: str) -> Presentation:
     return Presentation(names, tuple(relators))
 
 
+_FRAMES = {}  # shape -> its text from _frame, filled on first use
+_FRAME_GENERATORS = 64  # a shape with more generators is not kept
+_FRAME_SHAPES = 1024  # nor is one past this many
+
+
 def presentation_texts(s: SeifertSymbol) -> tuple:
     """(pi1 text, Fuchsian text): the one writer of the group relators,
     which pi1_presentation and fuchsian_quotient read back.
@@ -206,46 +211,58 @@ def presentation_texts(s: SeifertSymbol) -> tuple:
     is y h y^-1 h^-1, or y h y^-1 h for a reversing generator, and vanishes
     in the quotient; each pair gives c^mu h^beta, and c^mu in the quotient;
     the long relator of a closed symbol loses its h tail in the quotient.
+    The rest depends only on the shape (class part, tori, Klein-bottle
+    boundaries, fiber count), never on b or the pairs: _frame writes it
+    once per shape, kept in _FRAMES for at most _FRAME_SHAPES shapes of at
+    most _FRAME_GENERATORS generators besides h and written again on every
+    call for any other. Each call writes only the pair relators, the
+    quotients c^mu and the tail h^e, e read from _long_relator_exponent.
     Raises OutputTooLong when an exponent has too many digits to print, and
     CountTooLarge when the genus, boundary or index-2 count is too large.
     """
     s = normalize_symbol(s)
     cp, tori, klein, _, _ = s
-    n = cp.genus
-    if n > COUNT_LIMIT or tori + klein > COUNT_LIMIT:
+    if cp.genus > COUNT_LIMIT or tori + klein > COUNT_LIMIT:
         raise CountTooLarge(f"genus or boundary count over {COUNT_LIMIT}")
     pairs = s.expanded_pairs()
-    if cp.orbit == "o":
-        surface = [f"{x}{i}" for i in range(1, n + 1) for x in "ab"]
-    else:
-        surface = [f"x{i}" for i in range(1, n + 1)]
-    fibers = [f"c{i}" for i in range(1, len(pairs) + 1)] if pairs else []
-    gens = surface + fibers + ([f"d{j}" for j in range(1, tori + klein + 1)]
-                               if tori or klein else [])
-    k, klein0 = _reversing_count(cp), len(gens) - klein
+    shape = (cp, tori, klein, len(pairs))
+    pi1, conj, fuchsian, word, fibers = _FRAMES.get(shape) or _frame(shape)
     try:
-        rels = [f"{y} h {y}^-1 h" for y in gens[:k]] if k else []
-        rels += [f"{y} h {y}^-1 h^-1" for y in gens[k:klein0]]
-        rels += [f"{y} h {y}^-1 h" for y in gens[klein0:]] if klein else []
-        quotient = [f"{c}^{mu}" for c, (mu, _) in zip(fibers, pairs)]
-        rels += [f"{c} h" if beta == 1 else f"{c} h^{beta}"
-                 for c, (_, beta) in zip(quotient, pairs)]
-        if not (tori or klein):
-            word = [f"a{i} b{i} a{i}^-1 b{i}^-1" for i in range(1, n + 1)] \
-                if cp.orbit == "o" else [f"{x}^2" for x in surface]
-            word += fibers
-            if word:
-                quotient.append(" ".join(word))
-            e = _long_relator_exponent(s)
-            if e:
-                word.append("h" if e == 1 else f"h^{e}")
-            if word:
-                rels.append(" ".join(word))
+        quotient = ", ".join([f"{c}^{mu}" for c, (mu, _) in zip(fibers, pairs)])
+        rels = ", ".join([f"{c}^{mu} h" if beta == 1 else f"{c}^{mu} h^{beta}"
+                          for c, (mu, beta) in zip(fibers, pairs)])
+        e = 0 if tori or klein else _long_relator_exponent(s)
+        tail = "h" if e == 1 else f"h^{e}" if e else ""
     except ValueError:  # past the interpreter's int-to-str digit limit
         raise OutputTooLong() from None
+    long = f"{word} {tail}" if word and tail else word or tail
+    return (f"{pi1}{', '.join(filter(None, (conj, rels, long))) or '-'} >",
+            f"{fuchsian}{', '.join(filter(None, (quotient, word))) or '-'} >")
+
+
+def _frame(shape) -> tuple:
+    """A shape's text for presentation_texts: the heads "< h, gens | " and
+    "< gens | ", the conjugation relators, the closed long relator without
+    its h tail and the fiber names; each name list is dropped once joined."""
+    cp, tori, klein, n = shape
+    g = cp.genus
+    gens = [f"{x}{i}" for i in range(1, g + 1) for x in "ab"] \
+        if cp.orbit == "o" else [f"x{i}" for i in range(1, g + 1)]
+    fibers = [f"c{i}" for i in range(1, n + 1)]
+    gens += fibers + [f"d{j}" for j in range(1, tori + klein + 1)]
+    k, klein0 = _reversing_count(cp), len(gens) - klein
     names = ", ".join(gens)
-    return (f"< h{', ' if names else ''}{names} | {', '.join(rels) or '-'} >",
-            f"< {names or '-'} | {', '.join(quotient) or '-'} >")
+    conj = ", ".join([f"{y} h {y}^-1 h^-1" if k <= i < klein0
+                      else f"{y} h {y}^-1 h" for i, y in enumerate(gens)])
+    del gens
+    word = "" if tori or klein else " ".join(
+        ([f"a{i} b{i} a{i}^-1 b{i}^-1" for i in range(1, g + 1)]
+         if cp.orbit == "o" else [f"x{i}^2" for i in range(1, g + 1)]) + fibers)
+    frame = (f"< h, {names} | " if names else "< h | ", conj,
+             f"< {names or '-'} | ", word, fibers)
+    if klein0 + klein <= _FRAME_GENERATORS and len(_FRAMES) < _FRAME_SHAPES:
+        _FRAMES[shape] = frame
+    return frame
 
 
 def abelianization(p: Presentation) -> AbelianGroup:
@@ -313,12 +330,13 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
     - The side rows form a divisibility chain. A side row splits off as
       Z/g when its h-entry lies in the ideal generated by its index, the
       h-entries above it, the core's and 2 (when there is a row 2h).
-    What is left is a few rows on h, y and the unsplit d. The core row
-    alone, with no split factor, is Z/|core| (Z when core = 0). Any other
-    core goes to arith._core_factors, which reads a core of at most two
-    rows or columns, the usual case, from its determinantal divisors (gcds
-    of its entries and of its 2 x 2 minors) and eliminates only a larger
-    one. So the cost is about linear in the fibers.
+    What is left is a few rows on h, y and the unsplit d. A core of the one
+    column h (the core row, the row 2h) has one factor, the gcd of its
+    entries, and is Z when that is 0. Any other core goes to
+    arith._core_factors, which reads a core of at most two rows or columns,
+    the usual case, from its determinantal divisors (gcds of its entries
+    and of its 2 x 2 minors) and eliminates only a larger one. So the cost
+    is about linear in the fibers.
     """
     s = normalize_symbol(s)
     cp, tori, klein, _, _ = s
@@ -354,19 +372,20 @@ def first_homology(s: SeifertSymbol) -> AbelianGroup:
             pure.append(g)
         t = gcd(t, r)
     width = 1 + ycol + len(rest)
-    if width == 1 and not pure and not two:  # the core row alone
-        core = abs(core)
-        return AbelianGroup(free + (core == 0), (core,) if core > 1 else ())
-    rows = []  # on the columns h, then y, then each unsplit d
-    for i, (g, r) in enumerate(rest):
-        row = [0] * width
-        row[0], row[1 + ycol + i] = r, g
-        rows.append(row)
-    if closed:
-        rows.append([core] + [-2 * m] * ycol + [0] * len(rest))
-    if two:
-        rows.append([2] + [0] * (width - 1))
-    factors = _core_factors(rows) if rows else ()
+    if width == 1:  # the column h alone: the core row and the row 2h
+        d = gcd(core, two)
+        if not pure:
+            return AbelianGroup(free + (d == 0), (d,) if d > 1 else ())
+        factors = (d,) if d else ()
+    else:
+        # on the columns h, then y, then each unsplit d
+        rows = [[r] + [0] * (ycol + i) + [g] + [0] * (len(rest) - 1 - i)
+                for i, (g, r) in enumerate(rest)]
+        if closed:
+            rows.append([core] + [-2 * m] * ycol + [0] * len(rest))
+        if two:
+            rows.append([2] + [0] * (width - 1))
+        factors = _core_factors(rows)
     torsion = _chain(pure + list(factors))  # smallest first: 1s lead
     return AbelianGroup(free + width - len(factors),
                         tuple(torsion[torsion.count(1):]))

@@ -171,14 +171,15 @@ class SeifertSymbol:
     def expanded_pairs(self) -> tuple:
         """Pairs with the s count written out, the one site that does so,
         as (2,1) entries sorted by (mu, beta); CountTooLarge past its limit."""
-        extra = self.fiber_count - len(self.pairs)
+        cp, tori, klein, obstruction, pairs = self
+        extra = obstruction[1] if cp.total == "N" and not (tori or klein) else 0
         if extra > COUNT_LIMIT:
             raise CountTooLarge(f"index-2 count over {COUNT_LIMIT}")
         if self._normal:
             # the pairs are sorted, and a closed class-N normal form lists
             # no index-2 pair, so the (2,1) entries come first
-            return (_INDEX_TWO,) * extra + self.pairs
-        return tuple(sorted([_INDEX_TWO] * extra + list(self.pairs)))
+            return (_INDEX_TWO,) * extra + pairs
+        return tuple(sorted([_INDEX_TWO] * extra + list(pairs)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ import presentation_oracle
 import snf_oracle
 from symbolgen import (any_symbols, bounded_symbols, closed_nonorientable_symbols,
                        closed_oriented_symbols, fibered_symbols,
-                       high_genus_symbols)
+                       high_genus_symbols, random_bounded,
+                       random_closed_nonorientable, random_closed_oriented,
+                       random_pair)
 
 
 # permutation-group oracle: closure size by breadth-first multiplication
@@ -232,6 +234,99 @@ def test_presentation_texts_match_the_presentations(s, klein, shift):
     assert fuchsian_quotient(s) == quotient
     for text in texts:
         assert presentation_text(_presentation(text)) == text
+
+
+# presentation_texts writes the text that depends only on the shape (class
+# part, tori, Klein-bottle boundaries, fiber count) once, and keeps it in
+# groups._FRAMES for shapes of at most groups._FRAME_GENERATORS generators
+# besides h, up to groups._FRAME_SHAPES shapes
+
+
+def _shape(s):
+    return (s.class_part, s.boundary_tori, s.boundary_klein,
+            len(s.expanded_pairs()))
+
+
+def _generator_count(shape):
+    cp, tori, klein, n = shape
+    return (2 if cp.orbit == "o" else 1) * cp.genus + n + tori + klein
+
+
+def _oracle_texts(s):
+    ref = presentation_oracle.pi1_presentation(s)
+    return (presentation_oracle.presentation_text(ref),
+            presentation_oracle.presentation_text(
+                presentation_oracle.quotient_by_h(ref)))
+
+
+def _sibling(s, rng):
+    """A symbol of the shape of s with other pairs and, when closed, another
+    b: indices 3 to 9 keep the fiber count through normalization."""
+    pairs = tuple(random_pair(rng) for _ in s.expanded_pairs())
+    pairs = tuple(p if p.mu > 2 else CrossingPair(3, 1) for p in pairs)
+    if s.is_bounded:
+        obstruction = None
+    elif s.class_part.total == "O":
+        obstruction = s.obstruction + rng.choice((-2, -1, 1, 2))
+    else:
+        obstruction = (rng.randint(0, 1), 0)
+    return normalize_symbol(replace(s, obstruction=obstruction, pairs=pairs))
+
+
+# genus up to 80 over every class: an orbit of genus 33 or more over an
+# orientable orbit, or 65 or more over another, passes the generator bound
+_PAST_THE_BOUND = st.integers(0, 2**48).map(
+    lambda seed: random.Random(seed).choice(
+        (random_closed_oriented, random_closed_nonorientable,
+         random_bounded))(random.Random(seed), g_max=80))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.one_of(any_symbols, bounded_symbols, fibered_symbols,
+                 high_genus_symbols, _PAST_THE_BOUND),
+       st.integers(0, 2**32))
+def test_presentation_texts_are_the_oracle_cold_warm_and_past_the_bound(s, seed):
+    want = _oracle_texts(s)
+    shape = _shape(s)
+    kept = _generator_count(shape) <= groups._FRAME_GENERATORS
+    sibling = _sibling(s, random.Random(seed))
+    assert _shape(sibling) == shape
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_FRAMES", {})
+        assert presentation_texts(s) == want  # cold
+        assert list(groups._FRAMES) == ([shape] if kept else [])
+        mp.setattr(groups, "_FRAMES", {})
+        assert presentation_texts(sibling) == _oracle_texts(sibling)
+        assert presentation_texts(s) == want  # warm from the sibling's frame
+        assert list(groups._FRAMES) == ([shape] if kept else [])
+        # past the generator bound: written on every call, never kept
+        mp.setattr(groups, "_FRAME_GENERATORS", _generator_count(shape) - 1)
+        mp.setattr(groups, "_FRAMES", {})
+        assert presentation_texts(s) == want and not groups._FRAMES
+    assert pi1_presentation(s) == presentation_oracle.pi1_presentation(s)
+
+
+def test_the_frame_table_stops_at_its_cap_and_keeps_no_shape_past_the_bound():
+    # 11 x 11 x 13 = 1,573 shapes within the bound, more than the cap of
+    # 1,024, with a genus-40 shape past the bound every 100 calls
+    heads = [ClassPart("O", "o", g) for g in range(11)]
+    rows = [normalize_symbol(SeifertSymbol(cp, m, 0, None,
+                                           (CrossingPair(5, 2),) * n))
+            for cp in heads for m in range(1, 12) for n in range(13)]
+    for i in range(0, len(rows), 100):
+        rows.insert(i, parse_symbol(f"(O,o,40 | {i}, (7,3))"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_FRAMES", {})
+        for s in rows:
+            assert presentation_texts(s) == _oracle_texts(s)
+        frames = dict(groups._FRAMES)
+        # a shape past the cap is written each time, a kept one read back
+        assert [presentation_texts(s) for s in rows] == \
+            [_oracle_texts(s) for s in rows]
+    assert len(frames) == groups._FRAME_SHAPES
+    assert all(_generator_count(shape) <= groups._FRAME_GENERATORS
+               for shape in frames)
+    assert len({_shape(s) for s in rows}) > len(frames)
 
 
 def test_presentations_raise_output_too_long_with_their_texts():
@@ -494,6 +589,51 @@ def test_one_column_cores_reach_no_smith_normal_form(monkeypatch):
     assert [first_homology(s) for s in rows] == want
 
 
+# a one-column core with the row 2h: a closed (N,o,g) symbol, or a bounded
+# (N,o,g) one with Klein-bottle boundaries, whose side rows all split. Its
+# factor is the gcd of its column, read without arith._core_factors
+
+
+@st.composite
+def two_h_symbols(draw, odd=False):
+    """Closed (N,o,g) symbols and bounded (N,o,g) ones with Klein-bottle
+    boundaries; with odd, every index is odd and there is no index-2 count,
+    so every side row splits (its index is prime to 2)."""
+    g = draw(st.integers(0, 3))
+    pairs = draw(st.lists(any_pair(), max_size=4))
+    if odd:
+        pairs = [p for p in pairs if p.mu % 2]
+    cp = ClassPart("N", "o", g)
+    if g and draw(st.booleans()):
+        count = 0 if odd else draw(st.integers(0, 3))
+        obstruction = (draw(st.integers(0, 1)) if not count else 0, count)
+        return normalize_symbol(SeifertSymbol(cp, 0, 0, obstruction,
+                                              tuple(pairs)))
+    klein = 2 * draw(st.integers(1, 2))
+    return normalize_symbol(SeifertSymbol(cp, draw(st.integers(0, 2)), klein,
+                                          None, tuple(pairs)))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(two_h_symbols())
+def test_first_homology_with_the_row_2h_matches_the_oracle(s):
+    assert first_homology(s) == snf_oracle.abelianization(pi1_presentation(s))
+
+
+@settings(derandomize=True, max_examples=200)
+@given(two_h_symbols(odd=True))
+def test_a_one_column_core_with_the_row_2h_reaches_no_core_factors(s):
+    want = snf_oracle.abelianization(pi1_presentation(s))
+
+    def refuse(*args):
+        raise AssertionError(f"a one-column core reached {args}")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_core_factors", refuse)
+        mp.setattr(groups, "smith_normal_form", refuse)
+        assert first_homology(s) == want
+
+
 # a two-column core, the column h and the column y of a closed
 # non-orientable orbit or the one side row left unsplit, has its invariant
 # factors read from its determinantal divisors, with no Smith normal form or
@@ -586,8 +726,11 @@ def test_long_relator_sign_is_read_in_one_place(monkeypatch):
     # unflipped output on s with b replaced by -b
     s = parse_symbol("(O,o,0 | 1, (2,1), (3,1), (5,1))")
     n = parse_symbol("(N,n,I,1 | (1,0))")
+    # the texts below are read with the frames of both shapes kept
+    monkeypatch.setattr(groups, "_FRAMES", {})
     before = [pi1_presentation(t).relators[-1] for t in (s, n)]
     texts = [presentation_texts(t) for t in (s, n)]
+    assert set(groups._FRAMES) >= {_shape(s), _shape(n)}
     h1 = first_homology(s)
     rows = [normalize_symbol(parse_symbol(head.format(b)))
             for head in _SIGN_HEADS for b in range(-3, 4)]
