@@ -243,7 +243,7 @@ def presentation_texts(s: SeifertSymbol) -> tuple:
 def _frame(shape) -> tuple:
     """A shape's text for presentation_texts: the heads "< h, gens | " and
     "< gens | ", the conjugation relators, the closed long relator without
-    its h tail and the fiber names; each name list is dropped once joined."""
+    its h tail and the fiber names. gens is dropped once it is joined."""
     cp, tori, klein, n = shape
     g = cp.genus
     gens = [f"{x}{i}" for i in range(1, g + 1) for x in "ab"] \

@@ -273,17 +273,19 @@ def _sibling(s, rng):
     return normalize_symbol(replace(s, obstruction=obstruction, pairs=pairs))
 
 
-# genus up to 80 over every class: an orbit of genus 33 or more over an
-# orientable orbit, or 65 or more over another, passes the generator bound
-_PAST_THE_BOUND = st.integers(0, 2**48).map(
-    lambda seed: random.Random(seed).choice(
-        (random_closed_oriented, random_closed_nonorientable,
-         random_bounded))(random.Random(seed), g_max=80))
+def _genus_up_to_80(seed):
+    """A symbol of any class, closed or bounded, of genus up to 80: an
+    orientable orbit of genus 33 or more, or another of genus 65 or more,
+    passes the generator bound."""
+    rng = random.Random(seed)
+    return rng.choice((random_closed_oriented, random_closed_nonorientable,
+                       random_bounded))(rng, g_max=80)
 
 
 @settings(derandomize=True, max_examples=300)
 @given(st.one_of(any_symbols, bounded_symbols, fibered_symbols,
-                 high_genus_symbols, _PAST_THE_BOUND),
+                 high_genus_symbols,
+                 st.integers(0, 2**48).map(_genus_up_to_80)),
        st.integers(0, 2**32))
 def test_presentation_texts_are_the_oracle_cold_warm_and_past_the_bound(s, seed):
     want = _oracle_texts(s)
@@ -307,14 +309,12 @@ def test_presentation_texts_are_the_oracle_cold_warm_and_past_the_bound(s, seed)
 
 
 def test_the_frame_table_stops_at_its_cap_and_keeps_no_shape_past_the_bound():
-    # 11 x 11 x 13 = 1,573 shapes within the bound, more than the cap of
-    # 1,024, with a genus-40 shape past the bound every 100 calls
-    heads = [ClassPart("O", "o", g) for g in range(11)]
-    rows = [normalize_symbol(SeifertSymbol(cp, m, 0, None,
-                                           (CrossingPair(5, 2),) * n))
-            for cp in heads for m in range(1, 12) for n in range(13)]
-    for i in range(0, len(rows), 100):
-        rows.insert(i, parse_symbol(f"(O,o,40 | {i}, (7,3))"))
+    # 16 shapes past the bound (genus 33 to 48), then 11 x 11 x 13 = 1,573
+    # shapes within it, more than the cap of 1,024
+    rows = [parse_symbol(f"(O,o,{g} | 1, (7,3))") for g in range(33, 49)]
+    rows += [normalize_symbol(SeifertSymbol(ClassPart("O", "o", g), m, 0, None,
+                                            (CrossingPair(5, 2),) * n))
+             for g in range(11) for m in range(1, 12) for n in range(13)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groups, "_FRAMES", {})
         for s in rows:
