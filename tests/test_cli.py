@@ -553,6 +553,49 @@ def test_report_requires_input(capsys):
     assert err == "error: report needs a symbol or --stdin\n"
 
 
+BOUNDED_REPORT_TEXT = f"""\
+input: (O,o,0; m=1 | -, (3,2))
+normalized: (O,o,0; m=1 | -, (3,2))
+class_label: (O,o,0)
+small: fibered-solid-torus
+flat: false
+pi1_finite: false
+irreducible: true
+p2_irreducible: true
+aspherical: true
+boundary_irreducible: false
+has_incompressible_surface: false
+named: fibered solid torus
+note: boundary compresses: meridian disk
+pi1: < h, c1, d1 | c1 h c1^-1 h^-1, d1 h d1^-1 h^-1, c1^3 h^2 >
+fuchsian: < c1, d1 | c1^3 >
+h1: Z^2
+euler_sum: null
+recognition: fibered solid torus
+warning: {BOUNDED_WARNING}
+"""
+
+
+def test_report_text_prints_notes_nulls_and_warnings_in_place(capsys):
+    # h1 pins today's free boundary generator (ROADMAP item 11)
+    rc, out, err = run(capsys, ["report", "(O,o,0; m=1 | -, (3,2))"])
+    assert (rc, out, err) == (0, BOUNDED_REPORT_TEXT, "")
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    (["fst", "equiv", "--any", "1", "3", "2", "3"], 0, "equivalent\n", ""),
+    (["fst", "equiv", "--any", "1", "3", "1", "2"], 1, "distinct\n", ""),
+    (["lens", "equiv", "-3", "1", "3", "1"], 2, "",
+     "error: lens p must be >= 0, got -3\n"),
+    (["lens", "equiv", "4", "2", "4", "1"], 2, "", "error: gcd(4, 2) != 1\n"),
+    (["lens", "equiv", "1", "5", "1", "0"], 0, "equivalent\n", ""),
+    (["lens", "equiv", "0", "3", "1", "0"], 1, "distinct\n", ""),
+])
+def test_verdicts_and_error_lines_of_the_comparisons(argv, code, out, err,
+                                                    capsys):
+    assert run(capsys, argv) == (code, out, err)
+
+
 def test_help_and_bad_usage(capsys):
     assert run(capsys, ["--help"])[0] == 0
     assert run(capsys, ["no-such-command"])[0] == 2
