@@ -29,7 +29,8 @@ from .errors import (InputError, LimitTooSmall, OutputTooLong,
                      PreconditionError, SeifertError)
 from .fst import HomeoMode, fst_equivalent, fst_normalize, lift_fiber
 from .groups import first_homology, presentation_texts
-from .lens import GluingMatrix, fibering_transform, lens_normalize
+from .lens import (GluingMatrix, LensParams, fibering_transform,
+                   lens_equivalent, lens_normalize)
 from .symbol import (EquivalenceMode, normalize_symbol, parse_symbol,
                      render_symbol, reverse_orientation, symbols_equivalent)
 from .topology import classify_small, predicates
@@ -170,18 +171,23 @@ def _fmt_plain(value) -> str:
 
 
 def _print_report_text(rep: dict) -> None:
-    for key in ("input", "normalized", "class_label"):
-        print(f"{key}: {rep[key]}")
-    for key, value in rep["predicates"].items():
-        if key == "notes":
-            for note in value:
-                print(f"note: {note}")
-            continue
-        print(f"{key}: {_fmt_plain(value)}")
-    for key in ("pi1", "fuchsian", "h1", "euler_sum", "recognition"):
-        print(f"{key}: {_fmt_plain(rep[key])}")
-    for w in rep["warnings"]:
-        print(f"warning: {w}")
+    """One `key: value` line a key, in the report's own order: a nested
+    dict (the predicates) in place, and a list (notes, warnings) as one
+    line an item under its key in the singular."""
+    for key, value in rep.items():
+        if isinstance(value, dict):
+            _print_report_text(value)
+        elif isinstance(value, list):
+            for item in value:
+                print(f"{key[:-1]}: {item}")
+        else:
+            print(f"{key}: {_fmt_plain(value)}")
+
+
+def _verdict(same: bool) -> int:
+    """The one writer of a comparison's answer and its exit code."""
+    print("equivalent" if same else "distinct")
+    return 0 if same else 1
 
 
 def _dest(option: str) -> str:
@@ -325,8 +331,7 @@ def _dispatch(args) -> int:
                 sys.stdout.write(dumps(rep) + "\n")
             return 0
         if args.symbol is None:
-            print("error: report needs a symbol or --stdin", file=sys.stderr)
-            return 2
+            raise InputError("report needs a symbol or --stdin")
         rep = build_report(args.symbol)
         if args.json:
             print(_json().dumps(rep, indent=2))
@@ -337,10 +342,8 @@ def _dispatch(args) -> int:
     if cmd == "equiv":
         mode = (EquivalenceMode.ORIENTED_FIBER if args.oriented
                 else EquivalenceMode.UNORIENTED_FIBER)
-        same = symbols_equivalent(parse_symbol(args.symbol1),
-                                  parse_symbol(args.symbol2), mode)
-        print("equivalent" if same else "distinct")
-        return 0 if same else 1
+        return _verdict(symbols_equivalent(parse_symbol(args.symbol1),
+                                           parse_symbol(args.symbol2), mode))
 
     if cmd == "reverse":
         print(render_symbol(reverse_orientation(parse_symbol(args.symbol))))
@@ -364,10 +367,8 @@ def _dispatch(args) -> int:
             print(lens_normalize(args.p, args.q).display())
             return 0
         if args.lens_kind == "equiv":
-            same = (lens_normalize(args.p1, args.q1)
-                    == lens_normalize(args.p2, args.q2))
-            print("equivalent" if same else "distinct")
-            return 0 if same else 1
+            return _verdict(lens_equivalent(LensParams(args.p1, args.q1),
+                                            LensParams(args.p2, args.q2)))
         mat = GluingMatrix(args.q, args.r, args.p, args.s)
         f1, f2 = fibering_transform(mat, ReducedFraction(args.nu, args.mu))
         print(f"{f1.frac} {f2.frac}")
@@ -395,16 +396,11 @@ def _dispatch(args) -> int:
 
     if cmd == "fst":
         if args.fst_kind == "equiv":
-            mode = HomeoMode.PRESERVE
-            if args.reverse:
-                mode = HomeoMode.REVERSE
-            elif args.any:
-                mode = HomeoMode.ANY
+            mode = (HomeoMode.REVERSE if args.reverse else
+                    HomeoMode.ANY if args.any else HomeoMode.PRESERVE)
             t1 = fst_normalize(args.nu1, args.mu1, oriented=True)
             t2 = fst_normalize(args.nu2, args.mu2, oriented=True)
-            same = fst_equivalent(t1, t2, mode)
-            print("equivalent" if same else "distinct")
-            return 0 if same else 1
+            return _verdict(fst_equivalent(t1, t2, mode))
         t = fst_normalize(args.nu, args.mu, oriented=True)
         count, lifted = lift_fiber(args.sigma, t)
         print(f"components {count} fiber {lifted.frac}")
@@ -424,12 +420,9 @@ def run_cli(argv) -> int:
             return 0 if exc.code in (0, None) else 2
     try:
         return _dispatch(args)
-    except InputError as exc:
+    except (InputError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, InputError) else 3
 
 
 def main() -> None:
