@@ -3,8 +3,8 @@ passes only a run that matches its file exactly, the box holds every
 closed (O,o,0) symbol it promises, the small set reaches every category
 off the sphere, the edited golden lines are seeded and mostly parse
 errors, and the worker records the bytes that `report --stdin` writes,
-or the argv report of a text with a line break, and the covers and
-signature of the library."""
+or the argv report of a text with a line break, the text report, and the
+covers and signature of the library."""
 
 import importlib.util
 import json
@@ -196,6 +196,15 @@ def test_the_worker_records_the_bytes_report_stdin_writes(tmp_path):
     assert records[0]["presentations"] == [
         repr(build(parse_symbol(texts[0])))
         for build in (pi1_presentation, fuchsian_quotient)]
+    # report_text is what `seifert report TEXT` prints, and its exit code
+    for text, rec in zip(texts[:1] + texts[-2:], records[:1] + records[-2:]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "seifert", "report", text], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert rec["report_text"] == [proc.stdout, proc.stderr,
+                                      proc.returncode]
+    assert records[0]["report_text"][0].startswith(f"input: {texts[0]}\n")
+    assert records[-1]["report_text"][2] == 2
 
 
 def test_the_worker_records_the_covers_and_the_signature(tmp_path):

@@ -30,14 +30,15 @@ after a hot-path edit.
 Per symbol it compares the line that `report --stdin` writes for it,
 byte for byte (report.line) and key by key (report.input, report.pi1,
 ...; report.error for an error line; a text with a line break goes
-through `report --json` instead, report.argv on an error), the repr of pi1_presentation and
-of fuchsian_quotient or each one's error text (presentations), the repr of
-the classify_small result (small), `group order` and `cover double` stdout,
-stderr and exit code, `reverse` and both `equiv` modes of the symbol
-against its reverse, and key by key the repr or error text of the
-library's covers and signature (covers.suggest_cover_sheets,
-covers.fiberless_cover at that count, covers.euler_sum,
-covers.signature_of_symbol, covers.fuchsian_euler and
+through `report --json` instead, report.argv on an error), the stdout,
+stderr and exit code of `report TEXT`, the text report (report_text), the
+repr of pi1_presentation and of fuchsian_quotient or each one's error
+text (presentations), the repr of the classify_small result (small),
+`group order` and `cover double` stdout, stderr and exit code,
+`reverse` and both `equiv` modes of the symbol against its reverse, and
+key by key the repr or error text of the library's covers and signature
+(covers.suggest_cover_sheets, covers.fiberless_cover at that count,
+covers.euler_sum, covers.signature_of_symbol, covers.fuchsian_euler and
 covers.fuchsian_size_class; covers.error when the text does not parse).
 With --argv it also runs the fixed command lines of argv_lines
 (help at every depth, usage errors, abbreviated options, the
@@ -304,6 +305,7 @@ def worker(checkout: Path, mode: str, *args) -> int:
     for text in inputs:
         rev = _cli_call(cli, ["reverse", text])
         rec = {**_report(cli, text),
+               "report_text": _cli_call(cli, ["report", text]),
                "presentations": _call(_presentations, text),
                "small": _call(_small, text),
                "group_order": _cli_call(cli, ["group", "order", text]),
